@@ -19,17 +19,13 @@ Policy (see docs/PERF.md):
     latency under open-loop load is far noisier than kernel throughput).
     Simulated media/network sleeps dominate these latencies, so they are
     compared raw, without the memcpy normalization.
-  * Runs at different dispatch levels are never compared (exit 3) — a
-    scalar-forced run against an avx2 baseline would fail everything.
-  * When the run is at a non-scalar dispatch level, the pack encode+decode
-    pair must additionally show >= 1.5x combined speedup over the
-    forced-scalar cells from the SAME run (the SIMD acceptance gate; both
-    sides share machine noise so no normalization is needed).
+  * A load_harness file (latency cells) is never compared with a
+    perf_suite file (throughput cells): exit 3.
   * Cells present in only one file are reported but do not fail the gate
     (new cells need a baseline refresh; see docs/PERF.md).
 
 Exit codes: 0 ok, 1 regression/gate failure, 2 usage/IO error,
-3 incomparable runs (schema or dispatch mismatch).
+3 incomparable runs (schema or suite mismatch).
 """
 
 import argparse
@@ -39,9 +35,6 @@ import sys
 
 SCHEMA = "mc-bench-v1"
 CALIBRATION_CELL = "calibration.memcpy_1m"
-PACK_SPEEDUP_GATE = 1.5
-PACK_CELLS = ("pack.encode.50rows", "pack.decode.50rows")
-PACK_SCALAR_CELLS = ("pack.scalar.encode.50rows", "pack.scalar.decode.50rows")
 
 
 def load_run(path):
@@ -59,7 +52,12 @@ def load_run(path):
     if CALIBRATION_CELL not in cells:
         print(f"error: {path}: missing {CALIBRATION_CELL}", file=sys.stderr)
         sys.exit(3)
-    return run, cells
+    return cells
+
+
+def suite(cells):
+    """load_harness files carry p99_us latency cells; perf_suite files do not."""
+    return "load_harness" if any("p99_us" in c for c in cells.values()) else "perf_suite"
 
 
 def throughput(cell):
@@ -86,14 +84,14 @@ def main():
         help="allowed fractional p99 increase for latency cells (default 0.50)")
     args = parser.parse_args()
 
-    base_run, base_cells = load_run(args.baseline)
-    cur_run, cur_cells = load_run(args.current)
+    base_cells = load_run(args.baseline)
+    cur_cells = load_run(args.current)
 
-    base_level = base_run.get("dispatch_level", "?")
-    cur_level = cur_run.get("dispatch_level", "?")
-    if base_level != cur_level:
-        print(f"error: dispatch level mismatch: baseline={base_level} "
-              f"current={cur_level}; refusing to compare", file=sys.stderr)
+    base_suite = suite(base_cells)
+    cur_suite = suite(cur_cells)
+    if base_suite != cur_suite:
+        print(f"error: suite mismatch: baseline is {base_suite}, current is "
+              f"{cur_suite}; refusing to compare", file=sys.stderr)
         sys.exit(3)
 
     base_cal = throughput(base_cells[CALIBRATION_CELL])
@@ -136,20 +134,6 @@ def main():
     for name in sorted(set(cur_cells) - set(base_cells)):
         print(f"  note: new cell {name} (no baseline; refresh the baseline "
               "to gate it)")
-
-    # SIMD acceptance gate: dispatched pack encode+decode vs forced-scalar,
-    # within the current run.
-    if cur_level != "scalar":
-        if all(c in cur_cells for c in PACK_CELLS + PACK_SCALAR_CELLS):
-            simd_ns = sum(cur_cells[c]["ns_per_op"] for c in PACK_CELLS)
-            scalar_ns = sum(cur_cells[c]["ns_per_op"] for c in PACK_SCALAR_CELLS)
-            speedup = scalar_ns / simd_ns if simd_ns > 0 else 0.0
-            print(f"pack encode+decode SIMD speedup: x{speedup:.2f} "
-                  f"(gate >= x{PACK_SPEEDUP_GATE})")
-            if speedup < PACK_SPEEDUP_GATE:
-                failures.append(("pack.simd_speedup", speedup))
-        else:
-            print("warning: pack cells missing; SIMD speedup gate skipped")
 
     if failures:
         print(f"\nFAIL: {len(failures)} gate failure(s) "

@@ -297,7 +297,6 @@ int LoadHarnessMain(int argc, char** argv) {
   json += "  \"revision\": \"";
   JsonEscapeAppend(&json, revision);
   json += "\",\n";
-  json += "  \"dispatch_level\": \"load\",\n";
   json += "  \"nodes\": " + std::to_string(static_cast<int>(cluster.NodeCount())) + ",\n";
   json += "  \"bootstrap_ok\": " + std::to_string(bootstrap_ok.load()) + ",\n";
   json += "  \"rotate_ok\": " + std::to_string(rotate_ok.load()) + ",\n";

@@ -76,11 +76,10 @@ BENCHMARK_CAPTURE(BM_Decompress, lzmalike, "lzmalike");
 
 void BM_AesGcmSeal(benchmark::State& state) {
   const SymmetricKey key = SymmetricKey::FromSeed("k");
-  const std::string iv(kAesGcmIvBytes, '\x07');
   const std::string payload = PackPayload();
   const uint64_t allocs_before = AllocsNow();
   for (auto _ : state) {
-    auto out = AesGcmEncryptWithIv(key, iv, payload);
+    auto out = AesGcmEncrypt(key, payload);
     benchmark::DoNotOptimize(out);
   }
   ReportAllocs(state, AllocsNow() - allocs_before);
@@ -100,32 +99,6 @@ void BM_AesGcmOpen(benchmark::State& state) {
   state.SetBytesProcessed(static_cast<int64_t>(state.iterations() * envelope.size()));
 }
 BENCHMARK(BM_AesGcmOpen);
-
-void BM_AesCbcEncrypt(benchmark::State& state) {
-  const SymmetricKey key = SymmetricKey::FromSeed("k");
-  const std::string payload = PackPayload();
-  const uint64_t allocs_before = AllocsNow();
-  for (auto _ : state) {
-    auto out = AesCbcEncrypt(key, payload);
-    benchmark::DoNotOptimize(out);
-  }
-  ReportAllocs(state, AllocsNow() - allocs_before);
-  state.SetBytesProcessed(static_cast<int64_t>(state.iterations() * payload.size()));
-}
-BENCHMARK(BM_AesCbcEncrypt);
-
-void BM_AesCbcDecrypt(benchmark::State& state) {
-  const SymmetricKey key = SymmetricKey::FromSeed("k");
-  const std::string envelope = *AesCbcEncrypt(key, PackPayload());
-  const uint64_t allocs_before = AllocsNow();
-  for (auto _ : state) {
-    auto out = AesCbcDecrypt(key, envelope);
-    benchmark::DoNotOptimize(out);
-  }
-  ReportAllocs(state, AllocsNow() - allocs_before);
-  state.SetBytesProcessed(static_cast<int64_t>(state.iterations() * envelope.size()));
-}
-BENCHMARK(BM_AesCbcDecrypt);
 
 void BM_Sha256Hash(benchmark::State& state) {
   const std::string payload = PackPayload();

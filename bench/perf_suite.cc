@@ -1,14 +1,11 @@
 // Perf-trajectory suite: runs the codec/crypto/pack kernel cells plus
 // fig9/fig13-style cluster cells with fixed seeds and emits a
-// schema-versioned BENCH_<rev>.json (ns/op, MB/s, p50/p99, allocs/op, and
-// the dispatch level the run used). bench/check_regression.py compares two
-// of these files and fails CI on >10% normalized throughput regression; the
-// memcpy calibration cell is the cross-machine normalizer.
+// schema-versioned BENCH_<rev>.json (ns/op, MB/s, p50/p99, allocs/op).
+// bench/check_regression.py compares two of these files and fails CI on
+// >10% normalized throughput regression; the memcpy calibration cell is the
+// cross-machine normalizer.
 //
 //   perf_suite [--revision=REV] [--out=PATH] [--quick]
-//
-// MC_NO_SIMD=1 / MC_SIMD_LEVEL=N apply as everywhere else; the JSON records
-// which level actually ran so baselines are only compared like-for-like.
 
 #include <cstdio>
 #include <cstring>
@@ -19,7 +16,6 @@
 #include "bench/alloc_counter.h"
 #include "bench/bench_util.h"
 #include "src/common/coding.h"
-#include "src/common/cpu_features.h"
 #include "src/common/crc32c.h"
 #include "src/common/random.h"
 #include "src/compress/compressor.h"
@@ -35,18 +31,6 @@ struct BenchCell {
   std::string name;
   size_t bytes_per_op;
   CellStats stats;
-};
-
-// Restores the ambient dispatch level after a forced-scalar cell.
-class ScopedLevel {
- public:
-  explicit ScopedLevel(SimdLevel level) : saved_(CurrentSimdLevel()) {
-    OverrideSimdLevelForTest(level);
-  }
-  ~ScopedLevel() { OverrideSimdLevelForTest(saved_); }
-
- private:
-  SimdLevel saved_;
 };
 
 std::string ConvivaPayload(size_t min_bytes) {
@@ -105,7 +89,6 @@ int PerfSuiteMain(int argc, char** argv) {
     out_path = "BENCH_" + revision + ".json";
   }
 
-  const SimdLevel ambient = CurrentSimdLevel();
   std::vector<BenchCell> cells;
   const auto run = [&](const std::string& name, size_t bytes_per_op, auto&& op) {
     BenchCell cell;
@@ -136,13 +119,9 @@ int PerfSuiteMain(int argc, char** argv) {
       volatile uint32_t crc = Crc32c(block);
       (void)crc;
     });
-    run("crc32c.scalar.4k", block.size(), [&] {
-      volatile uint32_t crc = Crc32cScalar(block);
-      (void)crc;
-    });
   }
 
-  // --- Codecs: dispatched vs forced-scalar, compress and decompress.
+  // --- Codecs: compress and decompress.
   const std::string payload = ConvivaPayload(64 * 1024);
   for (const char* codec_name : {"lz4like", "snappylike"}) {
     const Compressor* codec = FindCompressor(codec_name);
@@ -151,39 +130,23 @@ int PerfSuiteMain(int argc, char** argv) {
         [&] { (void)codec->Compress(payload); });
     run(std::string(codec_name) + ".decompress.64k", payload.size(),
         [&] { (void)codec->Decompress(compressed); });
-    {
-      ScopedLevel scalar(SimdLevel::kScalar);
-      run(std::string(codec_name) + ".scalar.compress.64k", payload.size(),
-          [&] { (void)codec->Compress(payload); });
-      run(std::string(codec_name) + ".scalar.decompress.64k", payload.size(),
-          [&] { (void)codec->Decompress(compressed); });
-    }
   }
 
-  // --- AES-GCM: hardware kernel vs portable EVP.
+  // --- AES-GCM (OpenSSL EVP).
   {
     const SymmetricKey key = SymmetricKey::FromSeed("perf");
-    const std::string iv(kAesGcmIvBytes, '\x07');
-    const std::string envelope = AesGcmEncryptWithIv(key, iv, payload).value();
-    run("aes_gcm.seal.64k", payload.size(),
-        [&] { (void)AesGcmEncryptWithIv(key, iv, payload); });
-    run("aes_gcm.open.64k", payload.size(),
-        [&] { (void)AesGcmDecrypt(key, envelope); });
-    {
-      ScopedLevel scalar(SimdLevel::kScalar);
-      run("aes_gcm.portable.seal.64k", payload.size(),
-          [&] { (void)AesGcmEncryptWithIv(key, iv, payload); });
-      run("aes_gcm.portable.open.64k", payload.size(),
-          [&] { (void)AesGcmDecrypt(key, envelope); });
-    }
+    const std::string envelope = AesGcmEncrypt(key, payload).value();
+    run("aes_gcm.seal.64k", payload.size(), [&] { (void)AesGcmEncrypt(key, payload); });
+    run("aes_gcm.open.64k", payload.size(), [&] { (void)AesGcmDecrypt(key, envelope); });
   }
 
-  // --- Pack encode/decode: the gated >=1.5x cell (serialize+compress /
+  // --- Pack encode/decode with the default codec (serialize+compress /
   // decompress+zero-copy deserialize, the per-pack work every read and
   // write pays).
   {
     const Pack pack = FiftyRowPack();
-    const Compressor* codec = FindCompressor("snappylike");
+    const MiniCryptOptions options;
+    const Compressor* codec = FindCompressor(options.codec);
     const std::string raw = pack.Serialize();
     const std::string compressed = codec->Compress(raw).value();
     const auto encode = [&] {
@@ -195,14 +158,8 @@ int PerfSuiteMain(int argc, char** argv) {
     };
     run("pack.encode.50rows", raw.size(), encode);
     run("pack.decode.50rows", raw.size(), decode);
-    {
-      ScopedLevel scalar(SimdLevel::kScalar);
-      run("pack.scalar.encode.50rows", raw.size(), encode);
-      run("pack.scalar.decode.50rows", raw.size(), decode);
-    }
 
     // Full seal+open cycle (compress, pad, GCM, and back) for the trajectory.
-    MiniCryptOptions options;
     const SymmetricKey key = SymmetricKey::FromSeed("perf");
     PackCrypter crypter(options, key);
     const std::string sealed = crypter.Seal(pack).value().envelope;
@@ -243,10 +200,6 @@ int PerfSuiteMain(int argc, char** argv) {
   json += "  \"revision\": \"";
   JsonEscapeAppend(&json, revision);
   json += "\",\n";
-  json += "  \"dispatch_level\": \"";
-  json += SimdLevelName(ambient);
-  json += "\",\n";
-  json += std::string("  \"aes_gcm_hw\": ") + (AesGcmHardwareEnabled() ? "true" : "false") + ",\n";
   json += "  \"cells\": [\n";
   for (size_t i = 0; i < cells.size(); ++i) {
     const BenchCell& c = cells[i];
@@ -270,8 +223,7 @@ int PerfSuiteMain(int argc, char** argv) {
   }
   std::fwrite(json.data(), 1, json.size(), f);
   std::fclose(f);
-  std::fprintf(stderr, "wrote %s (%zu cells, dispatch=%s)\n", out_path.c_str(),
-               cells.size(), SimdLevelName(ambient));
+  std::fprintf(stderr, "wrote %s (%zu cells)\n", out_path.c_str(), cells.size());
   return 0;
 }
 

@@ -3,8 +3,6 @@
 #include <array>
 #include <cstring>
 
-#include "src/common/cpu_features.h"
-
 #if defined(__x86_64__) || defined(__i386__)
 #include <nmmintrin.h>
 #define MC_CRC32C_X86 1
@@ -89,7 +87,12 @@ __attribute__((target("sse4.2"))) uint32_t ExtendHardware(uint32_t crc, const ch
 uint32_t Crc32cExtend(uint32_t crc, std::string_view data) {
   crc = ~crc;
 #if MC_CRC32C_X86
-  if (CurrentSimdLevel() >= SimdLevel::kSse42 && HostCpuFeatures().sse42) {
+  // Probed once: the CRC32 instruction when the CPU has SSE4.2.
+  static const bool hardware = [] {
+    __builtin_cpu_init();
+    return __builtin_cpu_supports("sse4.2") != 0;
+  }();
+  if (hardware) {
     return ~ExtendHardware(crc, data.data(), data.size());
   }
 #endif
@@ -100,14 +103,6 @@ uint32_t Crc32c(std::string_view data) { return Crc32cExtend(0, data); }
 
 uint32_t Crc32cScalar(std::string_view data) {
   return ~ExtendScalar(0xFFFFFFFFu, data.data(), data.size());
-}
-
-uint32_t Crc32cHardware(std::string_view data) {
-#if MC_CRC32C_X86
-  return ~ExtendHardware(0xFFFFFFFFu, data.data(), data.size());
-#else
-  return Crc32cScalar(data);
-#endif
 }
 
 }  // namespace minicrypt

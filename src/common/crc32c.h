@@ -1,8 +1,7 @@
-// CRC32C (Castagnoli, reflected polynomial 0x1EDC6F41) with runtime dispatch:
-// a portable slice-by-8 table implementation and an SSE4.2 hardware path
-// using the CRC32 instruction. Both produce identical values for identical
-// input (tests/simd_kernels_test.cc); which one runs is decided per call by
-// CurrentSimdLevel() (src/common/cpu_features.h).
+// CRC32C (Castagnoli, reflected polynomial 0x1EDC6F41): an SSE4.2 path using
+// the CRC32 instruction, picked once per process when the CPU has it, and a
+// portable slice-by-8 table walk everywhere else. Both produce identical
+// values for identical input (tests/coding_test.cc).
 //
 // Used for the SSTable v2 per-block checksums — the fetch-path cost every
 // read pays — where the hardware path runs at tens of GB/s vs ~1 GB/s for
@@ -25,9 +24,8 @@ uint32_t Crc32c(std::string_view data);
 // Crc32cExtend(Crc32c(a), b).
 uint32_t Crc32cExtend(uint32_t crc, std::string_view data);
 
-// Forced implementations, exposed for differential tests and the perf suite.
+// The slice-by-8 path regardless of the CPU, for the differential test.
 uint32_t Crc32cScalar(std::string_view data);
-uint32_t Crc32cHardware(std::string_view data);  // requires SSE4.2
 
 }  // namespace minicrypt
 

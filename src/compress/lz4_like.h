@@ -4,6 +4,9 @@
 // match finder, and a token byte carrying 4-bit literal/match length nibbles
 // with 255-extension bytes. Occupies the "fast, modest ratio" position in the
 // codec survey (paper Figure 2 runs lz4 among its five algorithms).
+//
+// Packs seal with zlib by default (paper §3), so this codec serves the
+// Figure 2 survey and the codec ablations, not the default seal path.
 
 #ifndef MINICRYPT_SRC_COMPRESS_LZ4_LIKE_H_
 #define MINICRYPT_SRC_COMPRESS_LZ4_LIKE_H_

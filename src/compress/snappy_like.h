@@ -4,6 +4,9 @@
 // a smaller hash table, skip-acceleration on incompressible regions (the
 // probe stride grows while no matches are found), and matches capped at 64
 // bytes per copy element.
+//
+// Packs seal with zlib by default (paper §3), so this codec serves the
+// Figure 2 survey and the codec ablations, not the default seal path.
 
 #ifndef MINICRYPT_SRC_COMPRESS_SNAPPY_LIKE_H_
 #define MINICRYPT_SRC_COMPRESS_SNAPPY_LIKE_H_

@@ -3,8 +3,8 @@
 // and the SHA-256 hash of the envelope is the token used by update-if
 // (paper Figure 5). The server only ever stores (packID, envelope, hash).
 // GCM authenticates each envelope, so a tampered pack fails at Open rather
-// than deserializing garbage; the AES-NI + PCLMUL kernel is selected at
-// runtime (src/common/cpu_features.h).
+// than deserializing garbage; the cipher is OpenSSL's EVP AES-256-GCM
+// (src/crypto/crypto.h).
 //
 // Envelopes are versioned for online key rotation (docs/KEY_ROTATION.md):
 //

@@ -8,10 +8,6 @@
 #include <cstring>
 #include <memory>
 
-#include "src/common/cpu_features.h"
-#include "src/crypto/aes_gcm_simd.h"
-#include "src/obs/metrics.h"
-
 namespace minicrypt {
 
 namespace {
@@ -21,95 +17,6 @@ struct CipherCtxDeleter {
 };
 using CipherCtx = std::unique_ptr<EVP_CIPHER_CTX, CipherCtxDeleter>;
 
-bool UseGcmKernel() {
-  return internal::AesGcmSimdCompiled() && AesGcmHardwareEnabled();
-}
-
-// Portable AES-256-GCM via OpenSSL EVP; the oracle for the AES-NI kernel.
-Result<std::string> GcmEncryptPortable(const SymmetricKey& key, const uint8_t* iv,
-                                       std::string_view plaintext, std::string_view aad) {
-  CipherCtx ctx(EVP_CIPHER_CTX_new());
-  if (!ctx) {
-    return Status::Internal("EVP_CIPHER_CTX_new failed");
-  }
-  if (EVP_EncryptInit_ex(ctx.get(), EVP_aes_256_gcm(), nullptr, key.data(), iv) != 1) {
-    return Status::Internal("EVP_EncryptInit_ex failed");
-  }
-  int aad_len = 0;
-  if (!aad.empty() &&
-      EVP_EncryptUpdate(ctx.get(), nullptr, &aad_len,
-                        reinterpret_cast<const unsigned char*>(aad.data()),
-                        static_cast<int>(aad.size())) != 1) {
-    return Status::Internal("EVP_EncryptUpdate (AAD) failed");
-  }
-  std::string out(reinterpret_cast<const char*>(iv), kAesGcmIvBytes);
-  const size_t header = out.size();
-  out.resize(header + plaintext.size() + kAesGcmTagBytes);
-
-  int len1 = 0;
-  if (!plaintext.empty() &&
-      EVP_EncryptUpdate(ctx.get(), reinterpret_cast<unsigned char*>(out.data() + header),
-                        &len1, reinterpret_cast<const unsigned char*>(plaintext.data()),
-                        static_cast<int>(plaintext.size())) != 1) {
-    return Status::Internal("EVP_EncryptUpdate failed");
-  }
-  int len2 = 0;
-  if (EVP_EncryptFinal_ex(ctx.get(),
-                          reinterpret_cast<unsigned char*>(out.data() + header + len1),
-                          &len2) != 1) {
-    return Status::Internal("EVP_EncryptFinal_ex failed");
-  }
-  if (static_cast<size_t>(len1 + len2) != plaintext.size()) {
-    return Status::Internal("GCM ciphertext length mismatch");
-  }
-  if (EVP_CIPHER_CTX_ctrl(ctx.get(), EVP_CTRL_GCM_GET_TAG,
-                          static_cast<int>(kAesGcmTagBytes),
-                          out.data() + header + plaintext.size()) != 1) {
-    return Status::Internal("EVP_CTRL_GCM_GET_TAG failed");
-  }
-  return out;
-}
-
-Result<std::string> GcmDecryptPortable(const SymmetricKey& key, const uint8_t* iv,
-                                       std::string_view ct, std::string_view tag,
-                                       std::string_view aad) {
-  CipherCtx ctx(EVP_CIPHER_CTX_new());
-  if (!ctx) {
-    return Status::Internal("EVP_CIPHER_CTX_new failed");
-  }
-  if (EVP_DecryptInit_ex(ctx.get(), EVP_aes_256_gcm(), nullptr, key.data(), iv) != 1) {
-    return Status::Internal("EVP_DecryptInit_ex failed");
-  }
-  int aad_len = 0;
-  if (!aad.empty() &&
-      EVP_DecryptUpdate(ctx.get(), nullptr, &aad_len,
-                        reinterpret_cast<const unsigned char*>(aad.data()),
-                        static_cast<int>(aad.size())) != 1) {
-    return Status::Internal("EVP_DecryptUpdate (AAD) failed");
-  }
-  std::string out(ct.size(), '\0');
-  int len1 = 0;
-  if (!ct.empty() &&
-      EVP_DecryptUpdate(ctx.get(), reinterpret_cast<unsigned char*>(out.data()), &len1,
-                        reinterpret_cast<const unsigned char*>(ct.data()),
-                        static_cast<int>(ct.size())) != 1) {
-    return Status::Corruption("GCM decrypt failed");
-  }
-  if (EVP_CIPHER_CTX_ctrl(ctx.get(), EVP_CTRL_GCM_SET_TAG,
-                          static_cast<int>(tag.size()),
-                          const_cast<char*>(tag.data())) != 1) {
-    return Status::Internal("EVP_CTRL_GCM_SET_TAG failed");
-  }
-  int len2 = 0;
-  if (EVP_DecryptFinal_ex(ctx.get(), reinterpret_cast<unsigned char*>(out.data() + len1),
-                          &len2) != 1) {
-    // Wrong key or tampered ciphertext/tag.
-    return Status::Corruption("GCM tag check failed");
-  }
-  out.resize(static_cast<size_t>(len1) + static_cast<size_t>(len2));
-  return out;
-}
-
 }  // namespace
 
 SymmetricKey SymmetricKey::FromSeed(std::string_view seed) {
@@ -118,12 +25,6 @@ SymmetricKey SymmetricKey::FromSeed(std::string_view seed) {
   // security of the reproduction does not rest on password hardness).
   const std::string h = Sha256(std::string("minicrypt-key-v1\x01") + std::string(seed));
   std::memcpy(key.bytes_.data(), h.data(), kAesKeyBytes);
-  return key;
-}
-
-SymmetricKey SymmetricKey::Random() {
-  SymmetricKey key;
-  RandomBytes(key.bytes_.data(), key.bytes_.size());
   return key;
 }
 
@@ -175,24 +76,32 @@ Status RandomBytes(uint8_t* out, size_t n) {
   return Status::Ok();
 }
 
-Result<std::string> AesCbcEncrypt(const SymmetricKey& key, std::string_view plaintext) {
-  uint8_t iv[kAesBlockBytes];
+Result<std::string> AesGcmEncrypt(const SymmetricKey& key, std::string_view plaintext,
+                                  std::string_view aad) {
+  uint8_t iv[kAesGcmIvBytes];
   MC_RETURN_IF_ERROR(RandomBytes(iv, sizeof(iv)));
-
   CipherCtx ctx(EVP_CIPHER_CTX_new());
   if (!ctx) {
     return Status::Internal("EVP_CIPHER_CTX_new failed");
   }
-  if (EVP_EncryptInit_ex(ctx.get(), EVP_aes_256_cbc(), nullptr, key.data(), iv) != 1) {
+  if (EVP_EncryptInit_ex(ctx.get(), EVP_aes_256_gcm(), nullptr, key.data(), iv) != 1) {
     return Status::Internal("EVP_EncryptInit_ex failed");
   }
-  std::string out(reinterpret_cast<char*>(iv), kAesBlockBytes);
+  int aad_len = 0;
+  if (!aad.empty() &&
+      EVP_EncryptUpdate(ctx.get(), nullptr, &aad_len,
+                        reinterpret_cast<const unsigned char*>(aad.data()),
+                        static_cast<int>(aad.size())) != 1) {
+    return Status::Internal("EVP_EncryptUpdate (AAD) failed");
+  }
+  std::string out(reinterpret_cast<const char*>(iv), kAesGcmIvBytes);
   const size_t header = out.size();
-  out.resize(header + plaintext.size() + 2 * kAesBlockBytes);
+  out.resize(header + plaintext.size() + kAesGcmTagBytes);
 
   int len1 = 0;
-  if (EVP_EncryptUpdate(ctx.get(), reinterpret_cast<unsigned char*>(out.data() + header), &len1,
-                        reinterpret_cast<const unsigned char*>(plaintext.data()),
+  if (!plaintext.empty() &&
+      EVP_EncryptUpdate(ctx.get(), reinterpret_cast<unsigned char*>(out.data() + header),
+                        &len1, reinterpret_cast<const unsigned char*>(plaintext.data()),
                         static_cast<int>(plaintext.size())) != 1) {
     return Status::Internal("EVP_EncryptUpdate failed");
   }
@@ -202,68 +111,15 @@ Result<std::string> AesCbcEncrypt(const SymmetricKey& key, std::string_view plai
                           &len2) != 1) {
     return Status::Internal("EVP_EncryptFinal_ex failed");
   }
-  out.resize(header + static_cast<size_t>(len1) + static_cast<size_t>(len2));
+  if (static_cast<size_t>(len1 + len2) != plaintext.size()) {
+    return Status::Internal("GCM ciphertext length mismatch");
+  }
+  if (EVP_CIPHER_CTX_ctrl(ctx.get(), EVP_CTRL_GCM_GET_TAG,
+                          static_cast<int>(kAesGcmTagBytes),
+                          out.data() + header + plaintext.size()) != 1) {
+    return Status::Internal("EVP_CTRL_GCM_GET_TAG failed");
+  }
   return out;
-}
-
-Result<std::string> AesCbcDecrypt(const SymmetricKey& key, std::string_view envelope) {
-  if (envelope.size() < 2 * kAesBlockBytes || (envelope.size() % kAesBlockBytes) != 0) {
-    return Status::Corruption("AES envelope has invalid length");
-  }
-  const auto* iv = reinterpret_cast<const unsigned char*>(envelope.data());
-  const std::string_view ct = envelope.substr(kAesBlockBytes);
-
-  CipherCtx ctx(EVP_CIPHER_CTX_new());
-  if (!ctx) {
-    return Status::Internal("EVP_CIPHER_CTX_new failed");
-  }
-  if (EVP_DecryptInit_ex(ctx.get(), EVP_aes_256_cbc(), nullptr, key.data(), iv) != 1) {
-    return Status::Internal("EVP_DecryptInit_ex failed");
-  }
-  std::string out(ct.size() + kAesBlockBytes, '\0');
-  int len1 = 0;
-  if (EVP_DecryptUpdate(ctx.get(), reinterpret_cast<unsigned char*>(out.data()), &len1,
-                        reinterpret_cast<const unsigned char*>(ct.data()),
-                        static_cast<int>(ct.size())) != 1) {
-    return Status::Corruption("AES decrypt failed");
-  }
-  int len2 = 0;
-  if (EVP_DecryptFinal_ex(ctx.get(), reinterpret_cast<unsigned char*>(out.data() + len1),
-                          &len2) != 1) {
-    // Wrong key or tampered ciphertext shows up as a padding failure.
-    return Status::Corruption("AES padding check failed");
-  }
-  out.resize(static_cast<size_t>(len1) + static_cast<size_t>(len2));
-  return out;
-}
-
-Result<std::string> AesGcmEncryptWithIv(const SymmetricKey& key, std::string_view iv,
-                                        std::string_view plaintext, std::string_view aad) {
-  if (iv.size() != kAesGcmIvBytes) {
-    return Status::InvalidArgument("GCM IV must be 12 bytes");
-  }
-  const auto* iv_bytes = reinterpret_cast<const uint8_t*>(iv.data());
-  if (UseGcmKernel()) {
-    OBS_COUNTER_INC("crypto.gcm.dispatch.aesni");
-    std::string out(iv);
-    out.resize(kAesGcmIvBytes + plaintext.size() + kAesGcmTagBytes);
-    auto* ct = reinterpret_cast<uint8_t*>(out.data() + kAesGcmIvBytes);
-    internal::AesGcmSimdEncrypt(key.data(), iv_bytes,
-                                reinterpret_cast<const uint8_t*>(aad.data()), aad.size(),
-                                reinterpret_cast<const uint8_t*>(plaintext.data()),
-                                plaintext.size(), ct, ct + plaintext.size());
-    return out;
-  }
-  OBS_COUNTER_INC("crypto.gcm.dispatch.portable");
-  return GcmEncryptPortable(key, iv_bytes, plaintext, aad);
-}
-
-Result<std::string> AesGcmEncrypt(const SymmetricKey& key, std::string_view plaintext,
-                                  std::string_view aad) {
-  uint8_t iv[kAesGcmIvBytes];
-  MC_RETURN_IF_ERROR(RandomBytes(iv, sizeof(iv)));
-  return AesGcmEncryptWithIv(
-      key, std::string_view(reinterpret_cast<const char*>(iv), sizeof(iv)), plaintext, aad);
 }
 
 Result<std::string> AesGcmDecrypt(const SymmetricKey& key, std::string_view envelope,
@@ -271,26 +127,46 @@ Result<std::string> AesGcmDecrypt(const SymmetricKey& key, std::string_view enve
   if (envelope.size() < kAesGcmIvBytes + kAesGcmTagBytes) {
     return Status::Corruption("GCM envelope has invalid length");
   }
-  const auto* iv = reinterpret_cast<const uint8_t*>(envelope.data());
+  const auto* iv = reinterpret_cast<const unsigned char*>(envelope.data());
   const std::string_view ct =
       envelope.substr(kAesGcmIvBytes, envelope.size() - kAesGcmIvBytes - kAesGcmTagBytes);
   const std::string_view tag = envelope.substr(envelope.size() - kAesGcmTagBytes);
 
-  if (UseGcmKernel()) {
-    OBS_COUNTER_INC("crypto.gcm.dispatch.aesni");
-    std::string out(ct.size(), '\0');
-    if (!internal::AesGcmSimdDecrypt(key.data(), iv,
-                                     reinterpret_cast<const uint8_t*>(aad.data()), aad.size(),
-                                     reinterpret_cast<const uint8_t*>(ct.data()),
-                                     ct.size(),
-                                     reinterpret_cast<const uint8_t*>(tag.data()),
-                                     reinterpret_cast<uint8_t*>(out.data()))) {
-      return Status::Corruption("GCM tag check failed");
-    }
-    return out;
+  CipherCtx ctx(EVP_CIPHER_CTX_new());
+  if (!ctx) {
+    return Status::Internal("EVP_CIPHER_CTX_new failed");
   }
-  OBS_COUNTER_INC("crypto.gcm.dispatch.portable");
-  return GcmDecryptPortable(key, iv, ct, tag, aad);
+  if (EVP_DecryptInit_ex(ctx.get(), EVP_aes_256_gcm(), nullptr, key.data(), iv) != 1) {
+    return Status::Internal("EVP_DecryptInit_ex failed");
+  }
+  int aad_len = 0;
+  if (!aad.empty() &&
+      EVP_DecryptUpdate(ctx.get(), nullptr, &aad_len,
+                        reinterpret_cast<const unsigned char*>(aad.data()),
+                        static_cast<int>(aad.size())) != 1) {
+    return Status::Internal("EVP_DecryptUpdate (AAD) failed");
+  }
+  std::string out(ct.size(), '\0');
+  int len1 = 0;
+  if (!ct.empty() &&
+      EVP_DecryptUpdate(ctx.get(), reinterpret_cast<unsigned char*>(out.data()), &len1,
+                        reinterpret_cast<const unsigned char*>(ct.data()),
+                        static_cast<int>(ct.size())) != 1) {
+    return Status::Corruption("GCM decrypt failed");
+  }
+  if (EVP_CIPHER_CTX_ctrl(ctx.get(), EVP_CTRL_GCM_SET_TAG,
+                          static_cast<int>(tag.size()),
+                          const_cast<char*>(tag.data())) != 1) {
+    return Status::Internal("EVP_CTRL_GCM_SET_TAG failed");
+  }
+  int len2 = 0;
+  if (EVP_DecryptFinal_ex(ctx.get(), reinterpret_cast<unsigned char*>(out.data() + len1),
+                          &len2) != 1) {
+    // Wrong key, tampered envelope, or an AAD other than the one sealed over.
+    return Status::Corruption("GCM tag check failed");
+  }
+  out.resize(static_cast<size_t>(len1) + static_cast<size_t>(len2));
+  return out;
 }
 
 }  // namespace minicrypt

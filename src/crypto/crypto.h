@@ -1,9 +1,7 @@
 // Cryptographic primitives used by MiniCrypt (paper §2.5): AES-256-GCM pack
-// encryption with a random IV per envelope (AES-CBC retained for comparison),
-// SHA-256 hashing of ciphertexts (the update-if token), and an HMAC-SHA256
-// PRF for deterministic packID encryption. Portable paths are backed by
-// OpenSSL's EVP layer; GCM additionally has an AES-NI + PCLMUL kernel
-// selected at runtime (src/common/cpu_features.h).
+// encryption with a random IV per envelope, SHA-256 hashing of ciphertexts
+// (the update-if token), and an HMAC-SHA256 PRF for deterministic packID
+// encryption. All of it is OpenSSL (EVP, SHA256, HMAC).
 
 #ifndef MINICRYPT_SRC_CRYPTO_CRYPTO_H_
 #define MINICRYPT_SRC_CRYPTO_CRYPTO_H_
@@ -18,7 +16,6 @@
 namespace minicrypt {
 
 inline constexpr size_t kAesKeyBytes = 32;   // AES-256
-inline constexpr size_t kAesBlockBytes = 16;
 inline constexpr size_t kSha256Bytes = 32;
 inline constexpr size_t kAesGcmIvBytes = 12;
 inline constexpr size_t kAesGcmTagBytes = 16;
@@ -31,9 +28,6 @@ class SymmetricKey {
   // Deterministic — the same seed yields the same key on every client, which
   // is how the paper's "clients share a single encryption key" is modelled.
   static SymmetricKey FromSeed(std::string_view seed);
-
-  // Fresh random key from the OS CSPRNG.
-  static SymmetricKey Random();
 
   ~SymmetricKey();
 
@@ -64,14 +58,6 @@ std::string HmacSha256(const SymmetricKey& key, std::string_view data);
 // Constant-time equality for MACs/hashes.
 bool ConstantTimeEqual(std::string_view a, std::string_view b);
 
-// AES-256-CBC envelope: output = IV (16 bytes) || ciphertext (PKCS#7 inside).
-// A fresh random IV is drawn per call, so equal plaintexts produce different
-// envelopes (semantic security, §2.5).
-Result<std::string> AesCbcEncrypt(const SymmetricKey& key, std::string_view plaintext);
-
-// Inverse of AesCbcEncrypt. Corruption on malformed envelopes or bad padding.
-Result<std::string> AesCbcDecrypt(const SymmetricKey& key, std::string_view envelope);
-
 // AES-256-GCM envelope: output = IV (12 bytes) || ciphertext (same length as
 // the plaintext) || tag (16 bytes). A fresh random IV is drawn per call.
 // Authenticated: tampering with any envelope byte fails decryption, so packs
@@ -81,19 +67,8 @@ Result<std::string> AesCbcDecrypt(const SymmetricKey& key, std::string_view enve
 // encrypted or stored in the envelope. Decryption must present the same
 // bytes, which is how envelopes are bound to their table / packID / key
 // epoch (an envelope spliced into another context fails the tag check).
-//
-// Dispatches at runtime between the AES-NI + PCLMUL kernel
-// (src/crypto/aes_gcm_simd.cc) and the portable OpenSSL EVP path; both
-// produce identical envelopes for identical IVs.
 Result<std::string> AesGcmEncrypt(const SymmetricKey& key, std::string_view plaintext,
                                   std::string_view aad = {});
-
-// Deterministic variant with a caller-supplied 12-byte IV. Exists for the
-// SIMD/portable differential tests; production callers must use AesGcmEncrypt
-// (IV reuse under the same key breaks GCM).
-Result<std::string> AesGcmEncryptWithIv(const SymmetricKey& key, std::string_view iv,
-                                        std::string_view plaintext,
-                                        std::string_view aad = {});
 
 // Inverse of AesGcmEncrypt. Corruption on malformed envelopes, tag mismatch,
 // or an `aad` that differs from the one sealed over.

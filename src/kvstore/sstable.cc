@@ -1,7 +1,6 @@
 #include "src/kvstore/sstable.h"
 
 #include "src/common/coding.h"
-#include "src/common/cpu_features.h"
 #include "src/common/crc32c.h"
 #include "src/compress/compressor.h"
 #include "src/kvstore/corruption.h"
@@ -11,15 +10,6 @@
 namespace minicrypt {
 
 namespace {
-
-// v2 block checksums use CRC32C with runtime SSE4.2/scalar dispatch
-// (src/common/crc32c.h). Builder and reader live in this TU, so the
-// polynomial choice is a private detail of the at-rest format.
-uint32_t Crc32(std::string_view data) {
-  RecordKernelDispatch(CurrentSimdLevel() >= SimdLevel::kSse42 ? SimdLevel::kSse42
-                                                               : SimdLevel::kScalar);
-  return Crc32c(data);
-}
 
 // Magic bytes of the v2 checksummed footer (docs/FORMATS.md).
 constexpr std::string_view kFooterMagic = "MCS2";
@@ -111,7 +101,7 @@ void SstableBuilder::FlushBlock() {
   }
   block_raw_bytes_.push_back(pending_.size());
   std::string body = CompressBlockBody(pending_, options_.server_compression);
-  PutFixed32(&body, Crc32(body));  // v2: trailing block checksum
+  PutFixed32(&body, Crc32c(body));  // v2: trailing block checksum
   blocks_.push_back(std::move(body));
   block_first_key_.push_back(pending_first_key_);
   pending_.clear();
@@ -148,7 +138,7 @@ std::shared_ptr<Sstable> SstableBuilder::Finish(Media* media, FaultInjector* fau
     PutVarint64(&footer, stored.size());
     PutLengthPrefixed(&footer, table->block_first_key_[i]);
   }
-  PutFixed32(&footer, Crc32(footer));
+  PutFixed32(&footer, Crc32c(footer));
   table->footer_ = std::move(footer);
 
   // Media corruption injection: one draw per stored block, after all
@@ -235,7 +225,7 @@ Result<std::shared_ptr<const std::string>> Sstable::FetchBlock(size_t idx, Block
   if (options_.verify_checksums) {
     const uint32_t stored_crc =
         ReadFixed32(std::string_view(at_rest->data() + at_rest->size() - 4, 4));
-    const uint32_t actual_crc = Crc32(body);
+    const uint32_t actual_crc = Crc32c(body);
     if (actual_crc != stored_crc ||
         (idx < block_crcs_.size() && stored_crc != block_crcs_[idx])) {
       OBS_COUNTER_INC("storage.corruption.block_crc_mismatches");
@@ -259,7 +249,7 @@ Status Sstable::VerifyChecksums(Media* media) const {
                               ": footer magic missing");
   }
   std::string_view body(footer_.data(), footer_.size() - 4);
-  if (Crc32(body) != ReadFixed32(std::string_view(footer_.data() + footer_.size() - 4, 4))) {
+  if (Crc32c(body) != ReadFixed32(std::string_view(footer_.data() + footer_.size() - 4, 4))) {
     return CorruptionDetected("table '" + options_.table + "' sstable #" + std::to_string(id_) +
                               ": footer checksum mismatch");
   }
@@ -289,7 +279,7 @@ Status Sstable::VerifyChecksums(Media* media) const {
     std::string_view block_body(stored.data(), stored.size() - 4);
     const uint32_t block_crc =
         ReadFixed32(std::string_view(stored.data() + stored.size() - 4, 4));
-    if (Crc32(block_body) != block_crc || block_crc != *footer_crc) {
+    if (Crc32c(block_body) != block_crc || block_crc != *footer_crc) {
       OBS_COUNTER_INC("storage.corruption.block_crc_mismatches");
       return CorruptionDetected(BlockContext(idx) + ": block checksum mismatch during scrub");
     }

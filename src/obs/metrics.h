@@ -31,7 +31,6 @@
 #include <string>
 #include <string_view>
 
-#include "src/common/cpu_features.h"
 #include "src/common/histogram.h"
 
 namespace minicrypt {
@@ -284,26 +283,5 @@ class ScopedSpan {
       ::minicrypt::MetricsRegistry::Instance().GetHistogram(name);                         \
   ::minicrypt::ScopedSpan OBS_INTERNAL_CONCAT(obs_span_, __LINE__)(                        \
       OBS_INTERNAL_CONCAT(obs_span_hist_, __LINE__))
-
-namespace minicrypt {
-
-// Bumps codec.dispatch.{scalar,sse42,avx2} for one dispatched hot-path kernel
-// invocation (docs/METRICS.md). Lives here rather than in cpu_features.h so
-// src/common stays below the metrics registry in the dependency order.
-inline void RecordKernelDispatch(SimdLevel level) {
-  switch (level) {
-    case SimdLevel::kScalar:
-      OBS_COUNTER_INC("codec.dispatch.scalar");
-      break;
-    case SimdLevel::kSse42:
-      OBS_COUNTER_INC("codec.dispatch.sse42");
-      break;
-    case SimdLevel::kAvx2:
-      OBS_COUNTER_INC("codec.dispatch.avx2");
-      break;
-  }
-}
-
-}  // namespace minicrypt
 
 #endif  // MINICRYPT_SRC_OBS_METRICS_H_

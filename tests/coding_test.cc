@@ -4,6 +4,7 @@
 
 #include <limits>
 
+#include "src/common/crc32c.h"
 #include "src/common/random.h"
 
 namespace minicrypt {
@@ -123,6 +124,30 @@ TEST(Key64, OrderPreserving) {
 TEST(Key64, WrongSizeRejected) {
   EXPECT_TRUE(DecodeKey64("1234567").status().IsCorruption());
   EXPECT_TRUE(DecodeKey64("123456789").status().IsCorruption());
+}
+
+TEST(Crc32c, KnownVector) {
+  EXPECT_EQ(Crc32c("123456789"), 0xE3069283u);
+  EXPECT_EQ(Crc32c(""), 0u);
+}
+
+// On SSE4.2 hosts Crc32c runs the CRC32 instruction; the slice-by-8 walk must
+// agree at every size around its 8-byte chunking.
+TEST(Crc32c, ScalarMatchesHardware) {
+  Rng rng(99);
+  for (size_t n : {0u, 1u, 2u, 3u, 7u, 8u, 9u, 15u, 16u, 17u, 31u, 32u, 33u,
+                   63u, 64u, 65u, 255u, 256u, 1000u, 4096u, 65536u}) {
+    const std::string data = rng.Bytes(n);
+    EXPECT_EQ(Crc32cScalar(data), Crc32c(data)) << "size " << n;
+  }
+}
+
+TEST(Crc32c, ExtendComposes) {
+  Rng rng(100);
+  const std::string a = rng.Bytes(1000);
+  const std::string b = rng.Bytes(313);
+  EXPECT_EQ(Crc32c(a + b), Crc32cExtend(Crc32c(a), b));
+  EXPECT_EQ(Crc32c(a), Crc32cScalar(a));
 }
 
 }  // namespace

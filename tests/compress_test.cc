@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+#include <vector>
+
 #include "src/common/random.h"
 #include "src/compress/strawman.h"
 #include "src/workload/datasets.h"
@@ -104,6 +107,68 @@ TEST_P(CodecRoundTrip, TruncatedInputNeverYieldsWrongData) {
     if (out.ok()) {
       EXPECT_EQ(*out, input) << "cut=" << cut << " silently decoded to wrong data";
     }
+  }
+}
+
+// Shapes that stress an LZ match finder and its overlap copies: sizes around
+// 8/16/32-byte boundaries, single-byte runs, short periods (match offset
+// smaller than match length), a repeated phrase, a motif straddling literal
+// runs, and a large buffer of random back-references.
+TEST_P(CodecRoundTrip, MatchFinderShapes) {
+  Rng rng(20260808);
+  std::vector<std::string> inputs;
+  for (size_t n : {2u, 3u, 4u, 7u, 8u, 15u, 16u, 17u, 31u, 32u, 33u, 63u, 64u,
+                   65u, 127u, 255u, 256u, 1000u, 4096u}) {
+    inputs.push_back(rng.Bytes(n));
+  }
+  inputs.emplace_back(5, 'x');
+  inputs.emplace_back(100, 'x');
+  inputs.emplace_back(70000, 'x');
+  for (size_t period : {2u, 3u, 5u, 7u, 11u, 15u, 16u, 17u, 31u}) {
+    std::string s;
+    while (s.size() < 3000) {
+      for (size_t i = 0; i < period; ++i) {
+        s.push_back(static_cast<char>('a' + (i % 26)));
+      }
+    }
+    inputs.push_back(std::move(s));
+  }
+  {
+    std::string s = rng.Bytes(300);
+    for (int i = 0; i < 200; ++i) {
+      s += "the quick brown fox jumps over the lazy dog ";
+    }
+    inputs.push_back(std::move(s));
+  }
+  {
+    std::string s;
+    const std::string motif = rng.Bytes(48);
+    for (int i = 0; i < 100; ++i) {
+      s += rng.Bytes(rng.Uniform(90) + 1);
+      s += motif;
+    }
+    inputs.push_back(std::move(s));
+  }
+  {
+    // Offsets up to the whole buffer, matches past 64 bytes.
+    std::string s = "a";
+    while (s.size() < 256 * 1024) {
+      if (rng.Bernoulli(0.5)) {
+        s += rng.Bytes(rng.Uniform(200) + 1);
+      } else {
+        const size_t off = rng.Uniform(s.size()) + 1;
+        const size_t len = rng.Uniform(300) + 4;
+        const size_t start = s.size() - off;
+        for (size_t i = 0; i < len; ++i) {
+          s.push_back(s[start + (i % off)]);
+        }
+      }
+    }
+    inputs.push_back(std::move(s));
+  }
+  for (size_t i = 0; i < inputs.size(); ++i) {
+    SCOPED_TRACE("input " + std::to_string(i) + " size " + std::to_string(inputs[i].size()));
+    ExpectRoundTrip(inputs[i]);
   }
 }
 

@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <set>
+#include <string>
+#include <vector>
 
 #include "src/common/coding.h"
 #include "src/common/random.h"
@@ -29,18 +31,55 @@ TEST(SymmetricKey, DerivedKeysAreDomainSeparated) {
   EXPECT_NE(0, memcmp(pack.data(), root.data(), pack.size()));
 }
 
+std::string FromHex(std::string_view hex) {
+  std::string out;
+  for (size_t i = 0; i + 1 < hex.size(); i += 2) {
+    out.push_back(static_cast<char>(std::stoi(std::string(hex.substr(i, 2)), nullptr, 16)));
+  }
+  return out;
+}
+
+// Known-answer vector: pins the envelope layout of docs/FORMATS.md
+// (IV || ciphertext || tag) and the cipher, so envelopes sealed by any earlier
+// build keep opening. Sealed once with the fixed IV below.
+TEST(Aes, GcmKnownAnswerOpens) {
+  const SymmetricKey key = SymmetricKey::FromSeed("gcm-kat");
+  const std::string iv = FromHex("cafebabefacedbaddecaf888");
+  const std::string plaintext =
+      "MiniCrypt seals each pack with AES-256-GCM; this is the KAT.";
+  const std::string aad = std::string("table") + '\0' + "pack-42";
+  const std::string envelope = FromHex(
+      "cafebabefacedbaddecaf888"
+      "20de933836b77e39722ccc6535c1725c8c96f4fc31e4973d3f835335818f21fc"
+      "70b4ad28c18f7e3e0196f82aa01e4d1dcac7ea4b31ba4bc02461af03"
+      "99c9a1a0cebfca5321cf2fd21988c7f9");
+  ASSERT_EQ(envelope.size(), kAesGcmIvBytes + plaintext.size() + kAesGcmTagBytes);
+  ASSERT_EQ(envelope.substr(0, kAesGcmIvBytes), iv);
+
+  auto opened = AesGcmDecrypt(key, envelope, aad);
+  ASSERT_TRUE(opened.ok()) << opened.status().ToString();
+  EXPECT_EQ(*opened, plaintext);
+  // One flipped bit in the IV, the body, or the tag fails the tag check.
+  for (size_t pos : {size_t{0}, kAesGcmIvBytes + 20, envelope.size() - 1}) {
+    std::string flipped = envelope;
+    flipped[pos] ^= 0x01;
+    EXPECT_TRUE(AesGcmDecrypt(key, flipped, aad).status().IsCorruption()) << "pos " << pos;
+  }
+}
+
 TEST(Aes, RoundTripVariousSizes) {
   const SymmetricKey key = SymmetricKey::FromSeed("k");
   Rng rng(1);
-  for (size_t n : {size_t{0}, size_t{1}, size_t{15}, size_t{16}, size_t{17}, size_t{1000},
-                   size_t{100000}}) {
+  // Sizes straddle the 16-byte block and multi-block boundaries.
+  for (size_t n : {0u, 1u, 15u, 16u, 17u, 31u, 32u, 33u, 63u, 64u, 65u, 100u, 255u,
+                   1000u, 4096u, 65536u, 100000u}) {
     const std::string plaintext = rng.Bytes(n);
-    auto envelope = AesCbcEncrypt(key, plaintext);
+    auto envelope = AesGcmEncrypt(key, plaintext);
     ASSERT_TRUE(envelope.ok());
-    EXPECT_EQ(envelope->size() % kAesBlockBytes, 0u);
-    auto back = AesCbcDecrypt(key, *envelope);
+    EXPECT_EQ(envelope->size(), kAesGcmIvBytes + n + kAesGcmTagBytes);
+    auto back = AesGcmDecrypt(key, *envelope);
     ASSERT_TRUE(back.ok()) << back.status().ToString();
-    EXPECT_EQ(*back, plaintext);
+    EXPECT_EQ(*back, plaintext) << "size " << n;
   }
 }
 
@@ -49,7 +88,7 @@ TEST(Aes, SemanticSecuritySameplaintextDifferentCiphertext) {
   const std::string plaintext = "the same pack bytes";
   std::set<std::string> envelopes;
   for (int i = 0; i < 16; ++i) {
-    auto envelope = AesCbcEncrypt(key, plaintext);
+    auto envelope = AesGcmEncrypt(key, plaintext);
     ASSERT_TRUE(envelope.ok());
     envelopes.insert(*envelope);
   }
@@ -57,40 +96,36 @@ TEST(Aes, SemanticSecuritySameplaintextDifferentCiphertext) {
 }
 
 TEST(Aes, WrongKeyFails) {
-  auto envelope = AesCbcEncrypt(SymmetricKey::FromSeed("a"), "secret data here");
+  auto envelope = AesGcmEncrypt(SymmetricKey::FromSeed("a"), "secret data here");
   ASSERT_TRUE(envelope.ok());
-  auto out = AesCbcDecrypt(SymmetricKey::FromSeed("b"), *envelope);
-  // CBC with PKCS#7: wrong key shows as padding corruption (or, rarely,
-  // garbage that happens to have valid padding — envelope is short enough
-  // that this is astronomically unlikely for this fixed test vector).
-  EXPECT_FALSE(out.ok() && *out == "secret data here");
+  auto out = AesGcmDecrypt(SymmetricKey::FromSeed("b"), *envelope);
+  EXPECT_TRUE(out.status().IsCorruption());
 }
 
-TEST(Aes, TamperedCiphertextRejectedOrGarbled) {
-  const SymmetricKey key = SymmetricKey::FromSeed("k");
-  const std::string plaintext(1000, 'p');
-  auto envelope = AesCbcEncrypt(key, plaintext);
-  ASSERT_TRUE(envelope.ok());
-  std::string tampered = *envelope;
-  tampered[tampered.size() / 2] ^= 0x40;
-  auto out = AesCbcDecrypt(key, tampered);
-  EXPECT_FALSE(out.ok() && *out == plaintext);
-}
-
+// The AAD is covered by the tag: lengths straddle the 16-byte GHASH block, and
+// the embedded-NUL AAD mirrors the pack AAD's table/context delimiters.
 TEST(Aes, GcmAadRoundTripAndMismatchRejected) {
   const SymmetricKey key = SymmetricKey::FromSeed("k");
   Rng rng(9);
-  // AAD with an embedded NUL, like the pack AAD's table/context delimiters.
-  const std::string aad = std::string("table") + '\0' + "pack-17";
-  for (size_t n : {size_t{0}, size_t{1}, size_t{100}, size_t{5000}}) {
-    const std::string pt = rng.Bytes(n);
-    auto env = AesGcmEncrypt(key, pt, aad);
-    ASSERT_TRUE(env.ok());
-    auto out = AesGcmDecrypt(key, *env, aad);
-    ASSERT_TRUE(out.ok()) << "size " << n;
-    EXPECT_EQ(*out, pt);
-    // Truncating the AAD by one byte (NUL shifts the field boundary) fails.
-    EXPECT_FALSE(AesGcmDecrypt(key, *env, aad.substr(0, aad.size() - 1)).ok());
+  std::vector<std::string> aads = {std::string("table") + '\0' + "pack-17"};
+  for (size_t aad_len : {1u, 15u, 16u, 17u, 63u, 64u, 65u, 300u}) {
+    aads.push_back(rng.Bytes(aad_len));
+  }
+  for (const std::string& aad : aads) {
+    for (size_t n : {0u, 1u, 31u, 64u, 100u, 1000u, 5000u}) {
+      const std::string pt = rng.Bytes(n);
+      auto env = AesGcmEncrypt(key, pt, aad);
+      ASSERT_TRUE(env.ok());
+      auto out = AesGcmDecrypt(key, *env, aad);
+      ASSERT_TRUE(out.ok()) << "aad " << aad.size() << " pt " << n;
+      EXPECT_EQ(*out, pt);
+      // A truncated, perturbed or missing AAD fails the tag check.
+      std::string flipped = aad;
+      flipped[aad.size() / 2] ^= 1;
+      EXPECT_TRUE(AesGcmDecrypt(key, *env, aad.substr(0, aad.size() - 1)).status().IsCorruption());
+      EXPECT_TRUE(AesGcmDecrypt(key, *env, flipped).status().IsCorruption());
+      EXPECT_TRUE(AesGcmDecrypt(key, *env).status().IsCorruption());
+    }
   }
 }
 
@@ -112,9 +147,13 @@ TEST(Aes, GcmAadBindsTheContext) {
 
 TEST(Aes, MalformedEnvelopeLengthsRejected) {
   const SymmetricKey key = SymmetricKey::FromSeed("k");
-  EXPECT_TRUE(AesCbcDecrypt(key, "").status().IsCorruption());
-  EXPECT_TRUE(AesCbcDecrypt(key, std::string(16, 'x')).status().IsCorruption());
-  EXPECT_TRUE(AesCbcDecrypt(key, std::string(33, 'x')).status().IsCorruption());
+  EXPECT_TRUE(AesGcmDecrypt(key, "").status().IsCorruption());
+  EXPECT_TRUE(AesGcmDecrypt(key, "short").status().IsCorruption());
+  const size_t min_size = kAesGcmIvBytes + kAesGcmTagBytes;
+  EXPECT_TRUE(AesGcmDecrypt(key, std::string(min_size - 1, 'x')).status().IsCorruption());
+  // Long enough to parse, but no tag verifies.
+  EXPECT_TRUE(AesGcmDecrypt(key, std::string(min_size, 'x')).status().IsCorruption());
+  EXPECT_TRUE(AesGcmDecrypt(key, std::string(min_size + 33, 'x')).status().IsCorruption());
 }
 
 TEST(Sha256, KnownProperties) {

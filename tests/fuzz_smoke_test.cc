@@ -7,7 +7,6 @@
 #include <gtest/gtest.h>
 
 #include "src/common/coding.h"
-#include "src/common/cpu_features.h"
 #include "src/common/random.h"
 #include "src/compress/compressor.h"
 #include "src/core/pack.h"
@@ -46,34 +45,6 @@ TEST(FuzzSmoke, CodecDecompressSurvivesGarbage) {
       }
     }
   }
-}
-
-// The SIMD decompress fast paths must be exactly as robust as the scalar
-// oracle: run the same adversarial sweep at every dispatch level the host
-// supports and require identical ok/corruption verdicts (and bytes).
-TEST(FuzzSmoke, CodecDecompressGarbageAgreesAcrossDispatchLevels) {
-  const SimdLevel ambient = CurrentSimdLevel();
-  const auto levels = SupportedSimdLevels();
-  for (std::string_view name : {"lz4like", "snappylike"}) {
-    const Compressor* codec = FindCompressor(name);
-    Rng rng(41);
-    const std::string valid = *codec->Compress("some perfectly ordinary payload data");
-    for (int i = 0; i < 300; ++i) {
-      const std::string input = i % 2 == 0 ? RandomGarbage(&rng, 300)
-                                           : SeededGarbage(&rng, valid, 100);
-      OverrideSimdLevelForTest(SimdLevel::kScalar);
-      const auto scalar = codec->Decompress(input);
-      for (SimdLevel level : levels) {
-        OverrideSimdLevelForTest(level);
-        const auto out = codec->Decompress(input);
-        ASSERT_EQ(out.ok(), scalar.ok()) << name << " level " << SimdLevelName(level);
-        if (out.ok()) {
-          ASSERT_EQ(*out, *scalar) << name << " level " << SimdLevelName(level);
-        }
-      }
-    }
-  }
-  OverrideSimdLevelForTest(ambient);
 }
 
 TEST(FuzzSmoke, PackDeserializeSurvivesGarbage) {
@@ -136,40 +107,31 @@ TEST(FuzzSmoke, RowDecodeSurvivesGarbage) {
   }
 }
 
+// GCM is authenticated: random envelopes, with or without AAD, must fail
+// cleanly (forging a 128-bit tag by chance "essentially never" happens).
 TEST(FuzzSmoke, AesDecryptSurvivesGarbage) {
   Rng rng(19);
   const SymmetricKey key = SymmetricKey::FromSeed("k");
   for (int i = 0; i < 300; ++i) {
-    auto out = AesCbcDecrypt(key, RandomGarbage(&rng, 256));
-    (void)out;
+    const std::string garbage = RandomGarbage(&rng, 256);
+    EXPECT_FALSE(AesGcmDecrypt(key, garbage).ok());
+    EXPECT_FALSE(AesGcmDecrypt(key, garbage, "aad").ok());
   }
 }
 
-// GCM is authenticated: garbage envelopes must fail cleanly, and truncated /
-// mutated real envelopes must fail, at every dispatch level.
+// Every truncation and random byte mutation of a real envelope must fail.
 TEST(FuzzSmoke, AesGcmDecryptSurvivesGarbage) {
-  const SimdLevel ambient = CurrentSimdLevel();
   const SymmetricKey key = SymmetricKey::FromSeed("k");
   const std::string envelope = *AesGcmEncrypt(key, "an authenticated payload");
-  for (SimdLevel level : SupportedSimdLevels()) {
-    OverrideSimdLevelForTest(level);
-    Rng rng(43);
-    for (int i = 0; i < 300; ++i) {
-      auto out = AesGcmDecrypt(key, RandomGarbage(&rng, 256));
-      // A random envelope forging a 128-bit tag "essentially never" happens.
-      EXPECT_FALSE(out.ok());
-    }
-    for (size_t cut = 0; cut < envelope.size(); ++cut) {
-      EXPECT_FALSE(AesGcmDecrypt(key, envelope.substr(0, cut)).ok());
-    }
-    for (int i = 0; i < 200; ++i) {
-      std::string mutated = envelope;
-      mutated[rng.Uniform(mutated.size())] ^=
-          static_cast<char>(1 + rng.Uniform(255));
-      EXPECT_FALSE(AesGcmDecrypt(key, mutated).ok());
-    }
+  Rng rng(43);
+  for (size_t cut = 0; cut < envelope.size(); ++cut) {
+    EXPECT_FALSE(AesGcmDecrypt(key, envelope.substr(0, cut)).ok());
   }
-  OverrideSimdLevelForTest(ambient);
+  for (int i = 0; i < 200; ++i) {
+    std::string mutated = envelope;
+    mutated[rng.Uniform(mutated.size())] ^= static_cast<char>(1 + rng.Uniform(255));
+    EXPECT_FALSE(AesGcmDecrypt(key, mutated).ok());
+  }
 }
 
 TEST(FuzzSmoke, PaddingUnpadSurvivesGarbage) {

@@ -2,7 +2,16 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cctype>
 #include <chrono>
+#include <filesystem>
+#include <fstream>
+#include <iterator>
+#include <map>
+#include <regex>
+#include <set>
+#include <sstream>
 #include <string>
 #include <thread>
 #include <vector>
@@ -253,6 +262,167 @@ TEST(MetricsRegistry, JsonEscapesStrings) {
   const std::string json = registry.ToJson();
   EXPECT_NE(json.find("\\\"quoted\\\"\\\\name"), std::string::npos) << json;
   registry.ResetAll();
+}
+
+// --- docs/METRICS.md stays in step with src/ --------------------------------
+//
+// Every metric name src/ passes as a literal to the OBS_* macros or the
+// registry needs a row in docs/METRICS.md, and every row must name something
+// src/ emits. A name composed at run time ("fault." + point + ".trips") is
+// compared as its literal prefix and suffix around a '*', which is also what
+// a <placeholder> in a documented name reduces to.
+
+std::string ReadFile(const std::filesystem::path& path) {
+  std::ifstream in(path);
+  return std::string(std::istreambuf_iterator<char>(in), {});
+}
+
+// Copies a quoted literal starting at src[i] into *out; returns the index of
+// its closing quote.
+size_t CopyLiteral(const std::string& src, size_t i, std::string* out) {
+  const char quote = src[i];
+  *out += src[i];
+  for (++i; i < src.size(); ++i) {
+    *out += src[i];
+    if (src[i] == '\\' && i + 1 < src.size()) {
+      *out += src[++i];
+    } else if (src[i] == quote) {
+      break;
+    }
+  }
+  return i;
+}
+
+// Drops // and /* */ comments; string and char literals pass through intact
+// (a quote after an alphanumeric is a digit separator, as in 2'000'000).
+std::string StripComments(const std::string& src) {
+  std::string out;
+  for (size_t i = 0; i < src.size(); ++i) {
+    const bool char_literal =
+        src[i] == '\'' && (i == 0 || !std::isalnum(static_cast<unsigned char>(src[i - 1])));
+    if (src[i] == '"' || char_literal) {
+      i = CopyLiteral(src, i, &out);
+    } else if (src.compare(i, 2, "//") == 0) {
+      i = std::min(src.find('\n', i), src.size()) - 1;
+    } else if (src.compare(i, 2, "/*") == 0) {
+      i = std::min(src.find("*/", i), src.size()) + 1;
+    } else {
+      out += src[i];
+    }
+  }
+  return out;
+}
+
+// Source text of each argument of the call whose '(' is at src[open].
+std::vector<std::string> CallArgs(const std::string& src, size_t open) {
+  std::vector<std::string> args(1);
+  int depth = 0;
+  for (size_t i = open + 1; i < src.size(); ++i) {
+    const char c = src[i];
+    if (c == '"') {
+      i = CopyLiteral(src, i, &args.back());
+      continue;
+    }
+    if (c == '(') {
+      ++depth;
+    } else if (c == ')' && depth-- == 0) {
+      break;
+    } else if (c == ',' && depth == 0) {
+      args.emplace_back();
+      continue;
+    }
+    args.back() += c;
+  }
+  return args;
+}
+
+// The metric name an argument spells: the literal itself, prefix*suffix for
+// literals joined with run-time parts, or "" when it holds no literal.
+std::string NameOf(const std::string& arg) {
+  static const std::regex kLiteral("\"([^\"]*)\"");
+  std::vector<std::string> literals;
+  for (std::sregex_iterator it(arg.begin(), arg.end(), kLiteral), end; it != end; ++it) {
+    literals.push_back((*it)[1]);
+  }
+  if (literals.empty()) {
+    return "";
+  }
+  const std::string rest = std::regex_replace(arg, std::regex("\"[^\"]*\"|\\s"), "");
+  if (literals.size() == 1 && rest.empty()) {
+    return literals[0];
+  }
+  const size_t first = arg.find_first_not_of(" \t\n");
+  const size_t last = arg.find_last_not_of(" \t\n");
+  const std::string prefix = arg[first] == '"' ? literals.front() : "";
+  const std::string suffix = arg[last] == '"' && literals.size() > 1 ? literals.back() : "";
+  return prefix + "*" + suffix;
+}
+
+// Names passed to the OBS_* macros and the registry's interning calls.
+std::set<std::string> NamesUsedIn(const std::string& src) {
+  static const std::regex kCall(
+      "\\b(OBS_COUNTER_INC|OBS_COUNTER_ADD|OBS_GAUGE_SET|OBS_HISTOGRAM_RECORD|OBS_SPAN|"
+      "GetCounter|GetGauge|GetHistogram|RegisterDerivedGauge|RatioMetrics::Intern)\\s*\\(");
+  std::set<std::string> names;
+  for (std::sregex_iterator it(src.begin(), src.end(), kCall), end; it != end; ++it) {
+    const size_t open = static_cast<size_t>(it->position() + it->length() - 1);
+    std::vector<std::string> args = CallArgs(src, open);
+    // RatioMetrics::Intern names two counters and a gauge; the rest name one.
+    if ((*it)[1] != "RatioMetrics::Intern") {
+      args.resize(1);
+    }
+    for (const std::string& arg : args) {
+      if (std::string name = NameOf(arg); !name.empty()) {
+        names.insert(name);
+      }
+    }
+  }
+  return names;
+}
+
+// Backticked names in the first cell of each table row, <placeholder> -> '*'.
+std::set<std::string> DocumentedNames(const std::string& doc) {
+  static const std::regex kName("`([^`]+)`");
+  std::set<std::string> names;
+  std::istringstream lines(doc);
+  for (std::string line; std::getline(lines, line);) {
+    if (line.rfind("| `", 0) != 0) {
+      continue;
+    }
+    const std::string cell = line.substr(1, line.find('|', 1) - 1);
+    for (std::sregex_iterator it(cell.begin(), cell.end(), kName), end; it != end; ++it) {
+      names.insert(std::regex_replace((*it)[1].str(), std::regex("<[^>]+>"), "*"));
+    }
+  }
+  return names;
+}
+
+TEST(MetricsDoc, MatchesNamesUsedInSource) {
+  const std::filesystem::path root = MC_SOURCE_DIR;
+  std::map<std::string, std::string> used;  // name -> first file using it
+  for (const auto& entry : std::filesystem::recursive_directory_iterator(root / "src")) {
+    const std::string ext = entry.path().extension().string();
+    if (ext != ".h" && ext != ".cc") {
+      continue;
+    }
+    for (const std::string& name : NamesUsedIn(StripComments(ReadFile(entry.path())))) {
+      used.emplace(name, entry.path().lexically_relative(root).string());
+    }
+  }
+  const std::set<std::string> documented =
+      DocumentedNames(ReadFile(root / "docs" / "METRICS.md"));
+  // Guards against a scan or parse that silently matched nothing.
+  ASSERT_GT(used.size(), 100u);
+  ASSERT_GT(documented.size(), 100u);
+
+  for (const auto& [name, file] : used) {
+    EXPECT_TRUE(documented.count(name) > 0)
+        << name << " (" << file << ") has no row in docs/METRICS.md";
+  }
+  for (const std::string& name : documented) {
+    EXPECT_TRUE(used.count(name) > 0)
+        << "docs/METRICS.md documents " << name << ", which nothing under src/ emits";
+  }
 }
 
 }  // namespace
