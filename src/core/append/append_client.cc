@@ -12,9 +12,6 @@ namespace minicrypt {
 
 namespace {
 
-constexpr std::string_view kValueColumn = "v";
-constexpr std::string_view kHashColumn = "h";
-
 Cell PlainCell(std::string value) { return Cell{std::move(value), 0, false}; }
 
 // Each client's jitter stream is derived from its ID so fleets of append
@@ -28,6 +25,16 @@ uint64_t JitterSeedFor(const MiniCryptOptions& options, std::string_view client_
                                                        : 0x6D696E6963727970ULL;
   const uint64_t seed = base ^ h;
   return seed != 0 ? seed : 1;
+}
+
+void CountRetry() { OBS_COUNTER_INC("append.unavailable_retries"); }
+
+// An Unavailable that outlasted the retry loop, named after the operation.
+Status OutOfRetries(std::string_view what, Status s) {
+  if (!s.IsUnavailable()) {
+    return s;
+  }
+  return Status::Unavailable(std::string(what) + " ran out of retries: " + s.message());
 }
 
 }  // namespace
@@ -44,33 +51,11 @@ AppendClient::AppendClient(Cluster* cluster, const MiniCryptOptions& options,
       cache_(cache != nullptr ? std::move(cache)
                               : PackCache::FromOptions(options.cache_capacity_bytes,
                                                        options.cache_ttl_micros, clock)),
-      backoff_(options.retry_backoff_base_micros, options.retry_backoff_max_micros,
-               JitterSeedFor(options, client_id_)) {}
+      // Merged packs are sealed with an empty AAD context (MergeEpoch).
+      reader_(cluster, &crypter_, options.table, cache_.get(), /*bind_pack_id=*/false),
+      retry_(options, JitterSeedFor(options, client_id_), clock) {}
 
 AppendClient::~AppendClient() { Stop(); }
-
-Status AppendClient::RetryUnavailable(const std::function<Status()>& op, std::string_view what) {
-  Status s = Status::Ok();
-  for (int attempt = 0; attempt < options_.max_put_retries; ++attempt) {
-    if (attempt > 0) {
-      OBS_COUNTER_INC("append.unavailable_retries");
-      uint64_t delay = 0;
-      {
-        std::lock_guard<std::mutex> lock(backoff_mu_);
-        delay = backoff_.NextDelayMicros(attempt - 1);
-      }
-      if (delay > 0) {
-        OBS_COUNTER_ADD("client.backoff_micros", delay);
-        clock_->SleepMicros(delay);
-      }
-    }
-    s = op();
-    if (!s.IsUnavailable()) {
-      return s;
-    }
-  }
-  return Status::Unavailable(std::string(what) + " ran out of retries: " + s.message());
-}
 
 Status AppendClient::Register() {
   MC_RETURN_IF_ERROR(HeartbeatOnce());
@@ -78,7 +63,9 @@ Status AppendClient::Register() {
 }
 
 Status AppendClient::SyncEpoch() {
-  return RetryUnavailable([this] { return SyncEpochOnce(); }, "epoch sync");
+  auto sync = [this] { return SyncEpochOnce(); };
+  return OutOfRetries("epoch sync",
+                      retry_.WhileUnavailable(options_.max_put_retries, sync, CountRetry));
 }
 
 Status AppendClient::SyncEpochOnce() {
@@ -96,13 +83,13 @@ Status AppendClient::SyncEpochOnce() {
 }
 
 Status AppendClient::HeartbeatOnce() {
-  MC_RETURN_IF_ERROR(RetryUnavailable(
-      [this] {
-        Row hb;
-        hb.cells[std::string(kHeartbeatColumn)] = PlainCell(EncodeKey64(clock_->NowMicros()));
-        return cluster_->Write(meta_table_, kClientsPartition, client_id_, hb);
-      },
-      "heartbeat"));
+  auto beat = [this] {
+    Row hb;
+    hb.cells[std::string(kHeartbeatColumn)] = PlainCell(EncodeKey64(clock_->NowMicros()));
+    return cluster_->Write(meta_table_, kClientsPartition, client_id_, hb);
+  };
+  MC_RETURN_IF_ERROR(OutOfRetries(
+      "heartbeat", retry_.WhileUnavailable(options_.max_put_retries, beat, CountRetry)));
   return SyncEpoch();
 }
 
@@ -114,14 +101,14 @@ Status AppendClient::Put(uint64_t key, std::string_view value) {
   // The epoch is re-read per attempt: a retry that straddles an epoch sync
   // must land in the client's *current* epoch or the merge-safety window
   // (paper §6.1) no longer covers it.
-  return RetryUnavailable(
-      [&] {
-        Row row;
-        row.cells[std::string(kValueColumn)] = PlainCell(envelope);
-        const uint64_t epoch = c_epoch_.load(std::memory_order_acquire);
-        return cluster_->Write(options_.table, EpochPartition(epoch), EncodeKey64(key), row);
-      },
-      "append put");
+  auto insert = [&] {
+    Row row;
+    row.cells[std::string(kPackValueColumn)] = PlainCell(envelope);
+    const uint64_t epoch = c_epoch_.load(std::memory_order_acquire);
+    return cluster_->Write(options_.table, EpochPartition(epoch), EncodeKey64(key), row);
+  };
+  return OutOfRetries("append put",
+                      retry_.WhileUnavailable(options_.max_put_retries, insert, CountRetry));
 }
 
 Result<std::string> AppendClient::ProbeEpoch(uint64_t epoch, std::string_view encoded_key) {
@@ -129,82 +116,25 @@ Result<std::string> AppendClient::ProbeEpoch(uint64_t epoch, std::string_view en
   stats_.get_epoch_probes.fetch_add(1, std::memory_order_relaxed);
   MC_ASSIGN_OR_RETURN(Row row,
                       cluster_->Read(options_.table, EpochPartition(epoch), encoded_key));
-  auto it = row.cells.find(kValueColumn);
+  auto it = row.cells.find(kPackValueColumn);
   if (it == row.cells.end()) {
     return Status::NotFound();
   }
   return crypter_.OpenValue(it->second.value);
 }
 
-Result<std::shared_ptr<const Pack>> AppendClient::OpenMergedPack(std::string_view pack_id,
-                                                                 const Row& row) {
-  auto v = row.cells.find(kValueColumn);
-  if (v == row.cells.end()) {
-    return Status::Corruption("pack row missing value cell");
-  }
-  auto h = row.cells.find(kHashColumn);
-  const bool use_cache = cache_ != nullptr && h != row.cells.end();
-  const std::string partition = EpochPartition(kMergedEpoch);
-  if (use_cache) {
-    if (auto pack = cache_->ValidateAndGet(options_.table, partition, pack_id, h->second.value)) {
-      return pack;  // identical bytes by hash: skip the decrypt + decompress
-    }
-  }
-  MC_ASSIGN_OR_RETURN(Pack pack, crypter_.Open(v->second.value));
-  auto shared = std::make_shared<const Pack>(std::move(pack));
-  if (use_cache) {
-    cache_->Put(options_.table, partition, pack_id, shared, h->second.value);
-  }
-  return shared;
-}
-
 Result<std::string> AppendClient::ProbeMergedPacks(std::string_view encoded_key) {
   const std::string partition = EpochPartition(kMergedEpoch);
-  if (cache_ != nullptr) {
-    // TTL fast path: only positive hits may be served without a probe — a
-    // TTL-fresh pack can legitimately lack a key merged after it was cached.
-    if (auto fresh = cache_->Floor(options_.table, partition, encoded_key, /*only_fresh=*/true)) {
-      if (auto value = fresh->second.pack->Find(encoded_key)) {
-        cache_->RecordTtlServe();
-        return std::string(*value);
-      }
-    }
-    if (auto candidate = cache_->Floor(options_.table, partition, encoded_key,
-                                       /*only_fresh=*/false)) {
-      auto probe = cluster_->ReadFloorCell(options_.table, partition, encoded_key, kHashColumn);
-      if (probe.ok()) {
-        auto pack = cache_->ValidateAndGet(options_.table, partition, probe->first, probe->second);
-        if (pack == nullptr) {
-          OBS_SPAN("pack.fetch");
-          auto row = cluster_->Read(options_.table, partition, probe->first);
-          if (row.ok()) {
-            MC_ASSIGN_OR_RETURN(pack, OpenMergedPack(probe->first, *row));
-          } else if (!row.status().IsNotFound()) {
-            return row.status();
-          }  // NotFound: a replica raced the probe; fall back to the full floor
-        }
-        if (pack != nullptr) {
-          auto value = pack->Find(encoded_key);
-          if (!value.has_value()) {
-            return Status::NotFound();
-          }
-          return std::string(*value);
-        }
-      } else if (probe.status().IsNotFound()) {
-        // No merged pack at or below the key (the candidate outlived a table
-        // drop, or the floor row lacks the hash cell): the probe's NotFound
-        // is the answer.
-        cache_->Invalidate(options_.table, partition, candidate->first);
-        return Status::NotFound();
-      } else {
-        return probe.status();
-      }
-    }
+  auto fetched = reader_.FetchFloor(partition, encoded_key, /*allow_ttl=*/true);
+  if (fetched.ok() && fetched->ttl_fresh && !fetched->pack->Find(encoded_key).has_value()) {
+    // A TTL-fresh pack can lack a key merged after it was cached: confirm
+    // against the server before reporting NotFound.
+    fetched = reader_.FetchFloor(partition, encoded_key, /*allow_ttl=*/false);
   }
-  OBS_SPAN("pack.fetch");
-  MC_ASSIGN_OR_RETURN(auto found, cluster_->ReadFloor(options_.table, partition, encoded_key));
-  MC_ASSIGN_OR_RETURN(auto pack, OpenMergedPack(found.first, found.second));
-  auto value = pack->Find(encoded_key);
+  if (!fetched.ok()) {
+    return fetched.status();
+  }
+  auto value = fetched->pack->Find(encoded_key);
   if (!value.has_value()) {
     return Status::NotFound();
   }
@@ -281,33 +211,22 @@ Result<std::vector<std::pair<uint64_t, std::string>>> AppendClient::GetRange(uin
 
   // Merged packs in epoch 0 (Figure 4, applied to the e0 partition): packs
   // with IDs in [low, high], plus the boundary pack holding `low`.
-  MC_ASSIGN_OR_RETURN(auto pack_rows, cluster_->ReadRange(options_.table,
-                                                          EpochPartition(kMergedEpoch), klo,
-                                                          khi));
-  bool need_floor = pack_rows.empty() || pack_rows.front().first != klo;
-  std::vector<std::shared_ptr<const Pack>> packs;
-  for (const auto& [id, row] : pack_rows) {
-    auto v = row.cells.find(kValueColumn);
-    if (v == row.cells.end()) {
-      continue;
-    }
-    MC_ASSIGN_OR_RETURN(auto pack, OpenMergedPack(id, row));
-    packs.push_back(std::move(pack));
-  }
-  if (need_floor) {
-    auto floor = cluster_->ReadFloor(options_.table, EpochPartition(kMergedEpoch), klo);
+  const std::string partition = EpochPartition(kMergedEpoch);
+  MC_ASSIGN_OR_RETURN(auto pack_rows, cluster_->ReadRange(options_.table, partition, klo, khi));
+  if (pack_rows.empty() || pack_rows.front().first != klo) {
+    auto floor = cluster_->ReadFloor(options_.table, partition, klo);
     if (floor.ok()) {
-      auto v = floor->second.cells.find(kValueColumn);
-      if (v != floor->second.cells.end()) {
-        MC_ASSIGN_OR_RETURN(auto pack, OpenMergedPack(floor->first, floor->second));
-        packs.push_back(std::move(pack));
-      }
+      pack_rows.push_back(std::move(*floor));
     } else if (!floor.status().IsNotFound()) {
       return floor.status();
     }
   }
-  for (const auto& pack : packs) {
-    for (const auto& entry : pack->entries()) {
+  for (auto& [id, row] : pack_rows) {
+    if (row.cells.count(kPackValueColumn) == 0) {
+      continue;
+    }
+    MC_ASSIGN_OR_RETURN(FetchedPack fetched, reader_.OpenRow(partition, std::move(id), row));
+    for (const auto& entry : fetched.pack->entries()) {
       if (entry.key >= klo && entry.key <= khi) {
         MC_ASSIGN_OR_RETURN(uint64_t k, DecodeKey64(entry.key));
         merged.emplace(k, entry.value);
@@ -335,7 +254,7 @@ Result<std::vector<std::pair<uint64_t, std::string>>> AppendClient::GetRange(uin
     MC_ASSIGN_OR_RETURN(auto rows,
                         cluster_->ReadRange(options_.table, EpochPartition(epoch), klo, khi));
     for (const auto& [clustering, row] : rows) {
-      auto v = row.cells.find(kValueColumn);
+      auto v = row.cells.find(kPackValueColumn);
       if (v == row.cells.end()) {
         continue;
       }
@@ -366,7 +285,7 @@ Result<std::vector<std::pair<uint64_t, std::string>>> AppendClient::ReadEpochRow
                                                      EncodeKey64(0), EncodeKey64(~0ULL)));
   out.reserve(rows.size());
   for (const auto& [clustering, row] : rows) {
-    auto v = row.cells.find(kValueColumn);
+    auto v = row.cells.find(kPackValueColumn);
     if (v == row.cells.end()) {
       continue;
     }
@@ -433,21 +352,18 @@ Status AppendClient::MergeEpoch(uint64_t epoch) {
     MC_ASSIGN_OR_RETURN(Pack pack, Pack::FromSorted(std::move(chunk)));
     chunk.clear();
     MC_ASSIGN_OR_RETURN(SealedPack sealed, crypter_.Seal(pack));
-    Row row;
-    row.cells[std::string(kValueColumn)] = PlainCell(sealed.envelope);
-    row.cells[std::string(kHashColumn)] = PlainCell(sealed.hash);
-    const Status s =
-        cluster_->WriteIf(options_.table, EpochPartition(kMergedEpoch),
-                          std::string(*pack.MinKey()), row, LwtCondition::NotExists());
+    const std::string partition = EpochPartition(kMergedEpoch);
+    const std::string pack_id(*pack.MinKey());
+    const Status s = cluster_->WriteIf(options_.table, partition, pack_id, PackRow(sealed),
+                                       LwtCondition::NotExists());
     if (!s.ok() && !s.IsConditionFailed()) {
       return s;
     }
-    if (s.ok() && cache_ != nullptr) {
+    if (s.ok()) {
       // Our insert was acked, so the stored envelope hash is ours. A lost
       // race (ConditionFailed) wrote identical rows under a different
       // randomized seal — never cache our hash for those.
-      cache_->Put(options_.table, EpochPartition(kMergedEpoch), std::string(*pack.MinKey()),
-                  std::make_shared<const Pack>(pack), sealed.hash);
+      reader_.CacheWritten(partition, pack_id, pack, sealed.hash);
     }
     OBS_COUNTER_INC("append.merge.packs_written");
     OBS_COUNTER_ADD("append.merge.keys", pack.size());

@@ -7,14 +7,11 @@
 #define MINICRYPT_SRC_CORE_APPEND_APPEND_CLIENT_H_
 
 #include <atomic>
-#include <functional>
 #include <memory>
-#include <mutex>
 #include <string>
 #include <string_view>
 #include <vector>
 
-#include "src/common/backoff.h"
 #include "src/common/clock.h"
 #include "src/common/status.h"
 #include "src/common/thread_util.h"
@@ -23,6 +20,7 @@
 #include "src/core/options.h"
 #include "src/core/pack_cache.h"
 #include "src/core/pack_crypter.h"
+#include "src/core/pack_io.h"
 #include "src/crypto/crypto.h"
 #include "src/kvstore/cluster.h"
 
@@ -93,21 +91,12 @@ class AppendClient {
   // Direct single-row probe of (epoch, key).
   Result<std::string> ProbeEpoch(uint64_t epoch, std::string_view encoded_key);
 
-  // Pack lookup in epoch 0 (GENERIC-style floor query). With the cache on,
-  // revalidates a cached pack by a version-only floor probe before serving.
+  // Pack lookup in epoch 0: GENERIC's cache-checked floor fetch
+  // (PackReader::FetchFloor) on the merged partition.
   Result<std::string> ProbeMergedPacks(std::string_view encoded_key);
-
-  // Opens a merged-pack row already in hand, reusing a cached pack when its
-  // hash cell matches and filling the cache otherwise.
-  Result<std::shared_ptr<const Pack>> OpenMergedPack(std::string_view pack_id, const Row& row);
 
   Status SyncEpoch();
   Status SyncEpochOnce();
-
-  // Runs `op` with bounded retries on Unavailable (exponential backoff with
-  // seeded jitter through clock_); other statuses return immediately.
-  // Exhaustion returns Unavailable naming `what`.
-  Status RetryUnavailable(const std::function<Status()>& op, std::string_view what);
 
   Cluster* cluster_;
   MiniCryptOptions options_;
@@ -116,9 +105,9 @@ class AppendClient {
   std::string client_id_;
   Clock* clock_;
   std::shared_ptr<PackCache> cache_;  // nullptr = caching off
+  PackReader reader_;
   // Heartbeat/merge threads share the client with the caller's data path.
-  std::mutex backoff_mu_;
-  Backoff backoff_;
+  RetryBackoff retry_;
   std::atomic<uint64_t> c_epoch_{1};
   AppendClientStats stats_;
   std::unique_ptr<PeriodicTask> heartbeat_task_;

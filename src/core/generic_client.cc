@@ -12,25 +12,6 @@ namespace minicrypt {
 
 namespace {
 
-constexpr std::string_view kValueColumn = "v";
-constexpr std::string_view kHashColumn = "h";
-
-Row PackRow(const SealedPack& sealed) {
-  Row row;
-  row.cells[std::string(kValueColumn)] = Cell{sealed.envelope, 0, false};
-  row.cells[std::string(kHashColumn)] = Cell{sealed.hash, 0, false};
-  return row;
-}
-
-Result<std::pair<std::string_view, std::string_view>> ExtractPackCells(const Row& row) {
-  auto v = row.cells.find(kValueColumn);
-  auto h = row.cells.find(kHashColumn);
-  if (v == row.cells.end() || h == row.cells.end()) {
-    return Status::Corruption("pack row missing value/hash cells");
-  }
-  return std::make_pair(std::string_view(v->second.value), std::string_view(h->second.value));
-}
-
 // Human-readable pack id for error messages: the decoded key when the id is
 // a plain encoded key, hex otherwise (OPE image / PRF output).
 std::string FormatPackId(std::string_view id) {
@@ -51,6 +32,19 @@ std::string FormatPackId(std::string_view id) {
 }
 
 constexpr uint64_t kDefaultJitterSeed = 0x6D696E6963727970ULL;  // "minicryp"
+
+void CountGetRetry() { OBS_COUNTER_INC("client.get.unavailable_retries"); }
+
+// Rotation bounds (docs/KEY_ROTATION.md). Re-seal attempts per pack: LWT
+// races and Unavailable replicas both consume attempts before the rotation
+// pauses with Unavailable — foreground traffic always wins over rotation.
+constexpr int kResealAttempts = 8;
+// Wall-clock bound on waiting for in-flight old-epoch seals to drain before
+// the final verify + retire; an expired wait pauses the rotation.
+constexpr uint64_t kDrainTimeoutMillis = 30'000;
+// Verify sweeps: each re-seals any pack still below the target epoch, and a
+// sweep that finds none proves the rotation complete.
+constexpr int kVerifyPasses = 8;
 
 // Rotation metadata lives beside the data it describes, in a reserved
 // partition: PartitionLabel() only ever produces "p<N>", so "rotation" is
@@ -127,27 +121,17 @@ GenericClient::GenericClient(Cluster* cluster, const MiniCryptOptions& options,
       keyring_(std::move(keyring)),
       key_(keyring_->master()),
       crypter_(options, keyring_),
-      cache_(std::move(cache)),
-      clock_(cluster->options().clock),
-      backoff_(options.retry_backoff_base_micros, options.retry_backoff_max_micros,
-               options.retry_jitter_seed != 0 ? options.retry_jitter_seed : kDefaultJitterSeed) {
+      // PRF-bucket mode has no floor order for the cache probe to route on.
+      cache_(options.encrypt_pack_ids ? nullptr : std::move(cache)),
+      reader_(cluster, &crypter_, options.table, cache_.get(), /*bind_pack_id=*/true),
+      retry_(options,
+             options.retry_jitter_seed != 0 ? options.retry_jitter_seed : kDefaultJitterSeed,
+             cluster->options().clock) {
   if (options_.encrypt_pack_ids) {
     packid_cipher_.emplace(options_, key_);
   }
   if (options_.ope_pack_ids) {
     ope_.emplace(key_.Derive("packid-ope:" + options_.table));
-  }
-}
-
-void GenericClient::BackoffBeforeRetry(int attempt) {
-  uint64_t delay = 0;
-  {
-    std::lock_guard<std::mutex> lock(backoff_mu_);
-    delay = backoff_.NextDelayMicros(attempt);
-  }
-  if (delay > 0) {
-    OBS_COUNTER_ADD("client.backoff_micros", delay);
-    clock_->SleepMicros(delay);
   }
 }
 
@@ -186,158 +170,35 @@ std::string GenericClient::StoredPackId(std::string_view partition, const Pack& 
   return StoredKeyFor(min_key.has_value() ? *min_key : fallback_id);
 }
 
-Result<GenericClient::FetchedPack> GenericClient::FetchPackFor(std::string_view partition,
-                                                               std::string_view encoded_key) {
-  // Covers the server round trip (floor query or direct read) plus
-  // Open (pack.decrypt + pack.decompress, timed separately).
-  OBS_SPAN("pack.fetch");
-  std::string stored_id;
-  Row row;
-  if (packid_cipher_.has_value()) {
-    // Direct lookup of the static bucket's PRF image (no order available).
-    auto key = DecodeKey64(encoded_key);
-    if (!key.ok()) {
-      return key.status();
-    }
-    stored_id = packid_cipher_->EncryptBucket(packid_cipher_->BucketFor(*key));
-    MC_ASSIGN_OR_RETURN(row, cluster_->Read(options_.table, partition, stored_id));
-  } else {
-    // Paper Figure 3: SELECT ... WHERE packID <= key ORDER BY packID DESC
-    // LIMIT 1, served by the substrate's floor query. In OPE mode the floor
-    // runs on the (order-preserving) images, which is the whole point.
-    MC_ASSIGN_OR_RETURN(auto found, cluster_->ReadFloor(options_.table, partition,
-                                                        StoredKeyFor(encoded_key)));
-    stored_id = found.first;
-    row = std::move(found.second);
+Result<FetchedPack> GenericClient::FetchPackFor(std::string_view partition,
+                                                std::string_view encoded_key, bool allow_ttl) {
+  if (!packid_cipher_.has_value()) {
+    // In OPE mode the floor runs on the (order-preserving) images, which is
+    // the whole point.
+    return reader_.FetchFloor(partition, StoredKeyFor(encoded_key), allow_ttl);
   }
-  MC_ASSIGN_OR_RETURN(auto cells, ExtractPackCells(row));
-  MC_ASSIGN_OR_RETURN(Pack pack, crypter_.Open(cells.first, stored_id));
-  FetchedPack out;
-  out.pack_id = std::move(stored_id);
-  out.pack = std::make_shared<const Pack>(std::move(pack));
-  out.hash = std::string(cells.second);
-  return out;
+  // Direct lookup of the static bucket's PRF image (no order available).
+  OBS_SPAN("pack.fetch");
+  MC_ASSIGN_OR_RETURN(uint64_t key, DecodeKey64(encoded_key));
+  std::string stored_id = packid_cipher_->EncryptBucket(packid_cipher_->BucketFor(key));
+  MC_ASSIGN_OR_RETURN(Row row, cluster_->Read(options_.table, partition, stored_id));
+  return reader_.OpenRow(partition, std::move(stored_id), row);
 }
 
-Result<GenericClient::FetchedPack> GenericClient::FetchPackCached(std::string_view partition,
-                                                                  std::string_view encoded_key,
-                                                                  bool allow_ttl) {
-  // PRF-bucket mode has no floor order for the probe to route on; the cache
-  // only serves the floor-addressed modes.
-  if (cache_ == nullptr || packid_cipher_.has_value()) {
-    return FetchPackFor(partition, encoded_key);
-  }
-  const std::string stored = StoredKeyFor(encoded_key);
-  if (allow_ttl) {
-    auto fresh = cache_->Floor(options_.table, partition, stored, /*only_fresh=*/true);
-    if (fresh.has_value()) {
-      cache_->RecordTtlServe();
-      FetchedPack out;
-      out.pack_id = std::move(fresh->first);
-      out.pack = fresh->second.pack;
-      out.hash = std::move(fresh->second.hash);
-      out.ttl_fresh = true;
-      return out;
-    }
-  }
-  auto candidate = cache_->Floor(options_.table, partition, stored, /*only_fresh=*/false);
-  if (!candidate.has_value()) {
-    // Nothing cached near this key: a full floor fetch both answers the read
-    // and seeds the cache (no probe round trip wasted on a sure miss).
-    MC_ASSIGN_OR_RETURN(FetchedPack fetched, FetchPackFor(partition, encoded_key));
-    cache_->Put(options_.table, partition, fetched.pack_id, fetched.pack, fetched.hash);
-    return fetched;
-  }
-  // Version probe: ask the server floor for the hash cell only — ~40 bytes
-  // on the wire instead of the envelope.
-  auto probe = cluster_->ReadFloorCell(options_.table, partition, stored, kHashColumn);
-  if (!probe.ok()) {
-    if (probe.status().IsNotFound()) {
-      // The server has no floor although we cached one — stale beyond repair
-      // (e.g. the table was dropped and re-created). Drop the candidate.
-      cache_->Invalidate(options_.table, partition, candidate->first);
-    }
-    return probe.status();
-  }
-  if (auto pack = cache_->ValidateAndGet(options_.table, partition, probe->first, probe->second)) {
-    FetchedPack out;
-    out.pack_id = std::move(probe->first);
-    out.pack = std::move(pack);
-    out.hash = std::move(probe->second);
-    return out;
-  }
-  // Cache miss (or version skew): the probe already routed us to the owning
-  // packID, so read that row directly instead of paying a second floor.
-  OBS_SPAN("pack.fetch");
-  auto row = cluster_->Read(options_.table, partition, probe->first);
-  if (!row.ok()) {
-    if (!row.status().IsNotFound()) {
-      return row.status();
-    }
-    // A CL=ONE replica that missed the newest insert can advertise a floor it
-    // cannot serve; fall back to the full floor path.
-    MC_ASSIGN_OR_RETURN(FetchedPack fetched, FetchPackFor(partition, encoded_key));
-    cache_->Put(options_.table, partition, fetched.pack_id, fetched.pack, fetched.hash);
-    return fetched;
-  }
-  MC_ASSIGN_OR_RETURN(auto cells, ExtractPackCells(*row));
-  MC_ASSIGN_OR_RETURN(Pack pack, crypter_.Open(cells.first, probe->first));
-  FetchedPack out;
-  out.pack_id = std::move(probe->first);
-  out.pack = std::make_shared<const Pack>(std::move(pack));
-  out.hash = std::string(cells.second);  // may be newer than the probe; that's fine
-  cache_->Put(options_.table, partition, out.pack_id, out.pack, out.hash);
-  return out;
-}
-
-Result<GenericClient::FetchedPack> GenericClient::FetchWithRetries(std::string_view partition,
-                                                                   std::string_view encoded_key,
-                                                                   bool allow_ttl) {
-  Result<FetchedPack> fetched = Status::Unavailable("fetch never attempted");
-  for (int attempt = 0; attempt < options_.max_put_retries; ++attempt) {
-    if (attempt > 0) {
-      OBS_COUNTER_INC("client.get.unavailable_retries");
-      BackoffBeforeRetry(attempt - 1);
-    }
-    fetched = FetchPackCached(partition, encoded_key, allow_ttl);
-    if (fetched.ok() || !fetched.status().IsUnavailable()) {
-      break;  // only transient unavailability is worth retrying
-    }
+Result<FetchedPack> GenericClient::FetchWithRetries(std::string_view partition,
+                                                    std::string_view encoded_key, bool allow_ttl) {
+  auto fetch = [&](bool ttl) {
+    return retry_.WhileUnavailable(
+        options_.max_put_retries, [&] { return FetchPackFor(partition, encoded_key, ttl); },
+        CountGetRetry);
+  };
+  auto fetched = fetch(allow_ttl);
+  if (fetched.ok() && fetched->ttl_fresh && !fetched->pack->Find(encoded_key).has_value()) {
+    // A TTL-fresh pack may predate a split that moved this key to a newer
+    // pack: confirm the miss against the server before reporting NotFound.
+    fetched = fetch(/*ttl=*/false);
   }
   return fetched;
-}
-
-Result<std::shared_ptr<const Pack>> GenericClient::OpenPackCached(std::string_view partition,
-                                                                  std::string_view pack_id,
-                                                                  std::string_view envelope,
-                                                                  std::string_view hash) {
-  const bool use_cache = cache_ != nullptr && !packid_cipher_.has_value();
-  if (use_cache) {
-    if (auto pack = cache_->ValidateAndGet(options_.table, partition, pack_id, hash)) {
-      return pack;  // identical bytes by hash: skip the decrypt + decompress
-    }
-  }
-  MC_ASSIGN_OR_RETURN(Pack pack, crypter_.Open(envelope, pack_id));
-  auto shared = std::make_shared<const Pack>(std::move(pack));
-  if (use_cache) {
-    cache_->Put(options_.table, partition, pack_id, shared, std::string(hash));
-  }
-  return shared;
-}
-
-void GenericClient::CacheAfterWrite(std::string_view partition, std::string_view pack_id,
-                                    const Pack& pack, const std::string& hash) {
-  if (cache_ == nullptr || packid_cipher_.has_value()) {
-    return;
-  }
-  cache_->Put(options_.table, partition, pack_id, std::make_shared<const Pack>(pack), hash);
-}
-
-void GenericClient::CacheInvalidate(std::string_view partition, std::string_view pack_id) {
-  if (cache_ == nullptr || packid_cipher_.has_value()) {
-    return;
-  }
-  cache_->Invalidate(options_.table, partition, pack_id);
 }
 
 Result<std::string> GenericClient::Get(uint64_t key) {
@@ -346,11 +207,6 @@ Result<std::string> GenericClient::Get(uint64_t key) {
   const std::string encoded = EncodeKey64(key);
   const std::string partition = PartitionForKey(encoded, options_.hash_partitions);
   auto fetched = FetchWithRetries(partition, encoded, /*allow_ttl=*/true);
-  if (fetched.ok() && fetched->ttl_fresh && !fetched->pack->Find(encoded).has_value()) {
-    // A TTL-fresh pack may predate a split that moved this key to a newer
-    // pack: confirm the miss against the server before reporting NotFound.
-    fetched = FetchWithRetries(partition, encoded, /*allow_ttl=*/false);
-  }
   if (!fetched.ok()) {
     if (fetched.status().IsUnavailable()) {
       return Status::Unavailable("get ran out of retries: " + fetched.status().message() +
@@ -426,9 +282,6 @@ std::vector<Result<std::string>> GenericClient::MultiGet(const std::vector<uint6
       const uint64_t top = pkeys[remaining - 1];
       const std::string encoded_top = EncodeKey64(top);
       auto fetched = FetchWithRetries(partition, encoded_top, /*allow_ttl=*/true);
-      if (fetched.ok() && fetched->ttl_fresh && !fetched->pack->Find(encoded_top).has_value()) {
-        fetched = FetchWithRetries(partition, encoded_top, /*allow_ttl=*/false);
-      }
       if (!fetched.ok()) {
         if (fetched.status().IsNotFound()) {
           // No pack at or below `top` in this partition: every smaller key
@@ -498,18 +351,9 @@ Result<std::vector<std::pair<uint64_t, std::string>>> GenericClient::GetRange(ui
   // contiguous keys are spread across them.
   for (int p = 0; p < options_.hash_partitions; ++p) {
     const std::string partition = PartitionLabel(p);
-    Result<std::vector<std::pair<std::string, Row>>> rows =
-        Status::Unavailable("range never attempted");
-    for (int attempt = 0; attempt < options_.max_put_retries; ++attempt) {
-      if (attempt > 0) {
-        OBS_COUNTER_INC("client.get.unavailable_retries");
-        BackoffBeforeRetry(attempt - 1);
-      }
-      rows = cluster_->ReadRange(options_.table, partition, slo, shi);
-      if (rows.ok() || !rows.status().IsUnavailable()) {
-        break;
-      }
-    }
+    auto rows = retry_.WhileUnavailable(
+        options_.max_put_retries,
+        [&] { return cluster_->ReadRange(options_.table, partition, slo, shi); }, CountGetRetry);
     if (!rows.ok()) {
       return rows.status();
     }
@@ -522,15 +366,11 @@ Result<std::vector<std::pair<uint64_t, std::string>>> GenericClient::GetRange(ui
       if (id == slo) {
         need_floor = false;
       }
-      auto cells = ExtractPackCells(row);
-      if (!cells.ok()) {
-        return cells.status();
-      }
-      MC_ASSIGN_OR_RETURN(auto pack, OpenPackCached(partition, id, cells->first, cells->second));
-      packs.emplace_back(id, std::move(pack));
+      MC_ASSIGN_OR_RETURN(FetchedPack opened, reader_.OpenRow(partition, id, row));
+      packs.emplace_back(id, std::move(opened.pack));
     }
     if (need_floor) {
-      auto fetched = FetchPackCached(partition, klo, /*allow_ttl=*/false);
+      auto fetched = FetchPackFor(partition, klo, /*allow_ttl=*/false);
       if (fetched.ok()) {
         // Skip if it duplicates a pack already in the result set.
         const bool duplicate =
@@ -583,9 +423,9 @@ Status GenericClient::InsertNewPack(std::string_view partition, std::string_view
   if (s.ok()) {
     // Only an acked insert may be cached: sealing is randomized, so a lost
     // race means the stored envelope hash is a peer's, not ours.
-    CacheAfterWrite(partition, pack_id, pack, sealed.hash);
+    reader_.CacheWritten(partition, pack_id, pack, sealed.hash);
   } else if (s.IsUnavailable()) {
-    CacheInvalidate(partition, pack_id);  // ambiguous: unknown stored version
+    reader_.CacheInvalidate(partition, pack_id);  // ambiguous: unknown stored version
   }
   return s;
 }
@@ -616,7 +456,7 @@ Status GenericClient::SplitPack(std::string_view partition, const FetchedPack& f
   bool right_in_place = false;
   for (int attempt = 0; attempt < kSplitStepAttempts; ++attempt) {
     if (attempt > 0) {
-      BackoffBeforeRetry(attempt - 1);
+      retry_.Sleep(attempt - 1);
     }
     s = InsertNewPack(partition, right_stored, right);
     if (s.ok() || s.IsConditionFailed() || s.IsAlreadyExists()) {
@@ -654,29 +494,29 @@ Status GenericClient::SplitPack(std::string_view partition, const FetchedPack& f
   MC_ASSIGN_OR_RETURN(SealedPack sealed_left, crypter_.Seal(left, fetched.pack_id));
   for (int attempt = 0; attempt < kSplitStepAttempts; ++attempt) {
     if (attempt > 0) {
-      BackoffBeforeRetry(attempt - 1);
+      retry_.Sleep(attempt - 1);
     }
     s = cluster_->WriteIf(options_.table, partition, fetched.pack_id, PackRow(sealed_left),
-                          LwtCondition::CellEquals(std::string(kHashColumn), fetched.hash));
+                          LwtCondition::CellEquals(std::string(kPackHashColumn), fetched.hash));
     // ConditionFailed: the pack changed under us. An oversized pack is only
     // ever changed by truncation (every writer splits before mutating one),
     // so another splitter — or our own ambiguously-applied attempt — already
     // finished the job.
     if (s.ok()) {
-      CacheAfterWrite(partition, fetched.pack_id, left, sealed_left.hash);
+      reader_.CacheWritten(partition, fetched.pack_id, left, sealed_left.hash);
       return Status::Ok();
     }
     if (s.IsConditionFailed()) {
       // A peer truncated it with their own (randomized) seal: our cached
       // pre-split image is stale.
-      CacheInvalidate(partition, fetched.pack_id);
+      reader_.CacheInvalidate(partition, fetched.pack_id);
       return Status::Ok();
     }
     if (!s.IsUnavailable()) {
       return s;
     }
     OBS_COUNTER_INC("client.lwt.ambiguous");
-    CacheInvalidate(partition, fetched.pack_id);
+    reader_.CacheInvalidate(partition, fetched.pack_id);
     auto row = cluster_->Read(options_.table, partition, fetched.pack_id);
     if (!row.ok()) {
       if (row.status().IsUnavailable()) {
@@ -684,11 +524,8 @@ Status GenericClient::SplitPack(std::string_view partition, const FetchedPack& f
       }
       return row.status();
     }
-    auto cells = ExtractPackCells(*row);
-    if (!cells.ok()) {
-      return cells.status();
-    }
-    if (cells->second != fetched.hash) {
+    MC_ASSIGN_OR_RETURN(auto cells, ExtractPackCells(*row));
+    if (cells.second != fetched.hash) {
       return Status::Ok();  // hash moved: the truncation (ours or a peer's) applied
     }
   }
@@ -702,7 +539,7 @@ Status GenericClient::TryMutate(uint64_t key, const std::function<void(Pack*)>& 
   const std::string encoded = EncodeKey64(key);
   const std::string partition = PartitionForKey(encoded, options_.hash_partitions);
 
-  auto fetched = FetchPackCached(partition, encoded, /*allow_ttl=*/false);
+  auto fetched = FetchPackFor(partition, encoded, /*allow_ttl=*/false);
   if (!fetched.ok()) {
     if (!fetched.status().IsNotFound()) {
       return fetched.status();
@@ -756,23 +593,23 @@ Status GenericClient::TryMutate(uint64_t key, const std::function<void(Pack*)>& 
     const Status s =
         cluster_->Write(options_.table, partition, fetched->pack_id, PackRow(sealed));
     if (s.ok()) {
-      CacheAfterWrite(partition, fetched->pack_id, updated, sealed.hash);
+      reader_.CacheWritten(partition, fetched->pack_id, updated, sealed.hash);
     } else {
-      CacheInvalidate(partition, fetched->pack_id);
+      reader_.CacheInvalidate(partition, fetched->pack_id);
     }
     return s;
   }
   const Status s =
       cluster_->WriteIf(options_.table, partition, fetched->pack_id, PackRow(sealed),
-                        LwtCondition::CellEquals(std::string(kHashColumn), fetched->hash));
+                        LwtCondition::CellEquals(std::string(kPackHashColumn), fetched->hash));
   if (s.ok()) {
     // Acked LWT: the server now stores exactly `updated` under sealed.hash.
-    CacheAfterWrite(partition, fetched->pack_id, updated, sealed.hash);
+    reader_.CacheWritten(partition, fetched->pack_id, updated, sealed.hash);
     return s;
   }
   if (s.IsConditionFailed()) {
     // A concurrent writer moved the pack: our cached image is stale.
-    CacheInvalidate(partition, fetched->pack_id);
+    reader_.CacheInvalidate(partition, fetched->pack_id);
     *retry = true;  // re-read (Figure 5)
     return Status::Ok();
   }
@@ -784,8 +621,8 @@ Status GenericClient::TryMutate(uint64_t key, const std::function<void(Pack*)>& 
     // The cache entry is dropped either way: we cannot know which version the
     // server holds.
     OBS_COUNTER_INC("client.lwt.ambiguous");
-    CacheInvalidate(partition, fetched->pack_id);
-    auto reread = FetchPackCached(partition, encoded, /*allow_ttl=*/false);
+    reader_.CacheInvalidate(partition, fetched->pack_id);
+    auto reread = FetchPackFor(partition, encoded, /*allow_ttl=*/false);
     if (reread.ok()) {
       if (applied(*reread->pack)) {
         OBS_COUNTER_INC("client.lwt.ambiguous_applied");
@@ -810,7 +647,7 @@ Status GenericClient::MutateWithRetries(uint64_t key, const std::function<void(P
   Status last = Status::Ok();
   for (int attempt = 0; attempt < options_.max_put_retries; ++attempt) {
     if (attempt > 0) {
-      BackoffBeforeRetry(attempt - 1);
+      retry_.Sleep(attempt - 1);
     }
     bool retry = false;
     const Status s = TryMutate(key, mutate, applied, insert_if_new, &retry, &pack_id);
@@ -961,9 +798,9 @@ Status GenericClient::PersistRotationState(const KeyRotationState& state) {
 
 Status GenericClient::ResealPack(std::string_view partition, std::string_view pack_id,
                                  uint64_t target) {
-  for (int attempt = 0; attempt < options_.rotation_reseal_attempts; ++attempt) {
+  for (int attempt = 0; attempt < kResealAttempts; ++attempt) {
     if (attempt > 0) {
-      BackoffBeforeRetry(attempt - 1);
+      retry_.Sleep(attempt - 1);
     }
     auto row = cluster_->Read(options_.table, partition, pack_id);
     if (!row.ok()) {
@@ -987,22 +824,22 @@ Status GenericClient::ResealPack(std::string_view partition, std::string_view pa
     MC_ASSIGN_OR_RETURN(SealedPack sealed, crypter_.Seal(pack, pack_id));
     const Status s = cluster_->WriteIf(
         options_.table, partition, pack_id, PackRow(sealed),
-        LwtCondition::CellEquals(std::string(kHashColumn), std::string(cells.second)));
+        LwtCondition::CellEquals(std::string(kPackHashColumn), std::string(cells.second)));
     if (s.ok()) {
       OBS_COUNTER_INC("rotation.packs_resealed");
-      CacheAfterWrite(partition, pack_id, pack, sealed.hash);
+      reader_.CacheWritten(partition, pack_id, pack, sealed.hash);
       return Status::Ok();
     }
     if (s.IsConditionFailed()) {
       // Foreground traffic moved the pack under us — it wins; re-read and
       // decide again (the winner may even have sealed at the target already).
       OBS_COUNTER_INC("rotation.reseal_races");
-      CacheInvalidate(partition, pack_id);
+      reader_.CacheInvalidate(partition, pack_id);
       continue;
     }
     if (s.IsUnavailable()) {
       OBS_COUNTER_INC("client.lwt.ambiguous");
-      CacheInvalidate(partition, pack_id);
+      reader_.CacheInvalidate(partition, pack_id);
       continue;
     }
     return s;
@@ -1014,29 +851,18 @@ Status GenericClient::ResealPack(std::string_view partition, std::string_view pa
 Status GenericClient::RepackPartition(std::string_view partition, uint64_t target,
                                       size_t* resealed) {
   OBS_SPAN("rotation.repack_partition");
-  Result<std::vector<std::pair<std::string, Row>>> rows =
-      Status::Unavailable("repack scan never attempted");
   // Inclusive scan of the whole stored-packID space; stored ids (encoded
   // keys, OPE images, PRF output) are all far shorter than 64 bytes.
   const std::string hi(64, '\xff');
-  for (int attempt = 0; attempt < options_.max_put_retries; ++attempt) {
-    if (attempt > 0) {
-      BackoffBeforeRetry(attempt - 1);
-    }
-    rows = cluster_->ReadRange(options_.table, partition, "", hi);
-    if (rows.ok() || !rows.status().IsUnavailable()) {
-      break;
-    }
-  }
+  auto rows = retry_.WhileUnavailable(options_.max_put_retries, [&] {
+    return cluster_->ReadRange(options_.table, partition, "", hi);
+  });
   if (!rows.ok()) {
     return rows.status();
   }
   for (const auto& [id, row] : *rows) {
-    auto cells = ExtractPackCells(row);
-    if (!cells.ok()) {
-      return cells.status();
-    }
-    if (PackCrypter::EnvelopeEpoch(cells->first) >= target) {
+    MC_ASSIGN_OR_RETURN(auto cells, ExtractPackCells(row));
+    if (PackCrypter::EnvelopeEpoch(cells.first) >= target) {
       continue;
     }
     MC_RETURN_IF_ERROR(ResealPack(partition, id, target));
@@ -1086,12 +912,12 @@ Status GenericClient::RotateKeys() {
   // Verify: wait for in-flight old-epoch seals to drain (a writer that read
   // the old epoch before the announcement may still be mid-write), then sweep
   // until one full pass finds nothing below the target.
-  if (!keyring_->WaitForDrainBelow(rs.target, options_.rotation_drain_timeout_millis)) {
+  if (!keyring_->WaitForDrainBelow(rs.target, kDrainTimeoutMillis)) {
     OBS_COUNTER_INC("rotation.drain_timeouts");
     return Status::Unavailable("rotation paused: old-epoch seals did not drain in time");
   }
   bool clean = false;
-  for (int pass = 0; pass < options_.rotation_verify_passes && !clean; ++pass) {
+  for (int pass = 0; pass < kVerifyPasses && !clean; ++pass) {
     size_t resealed = 0;
     for (int p = 0; p < options_.hash_partitions; ++p) {
       MC_RETURN_IF_ERROR(RepackPartition(PartitionLabel(p), rs.target, &resealed));

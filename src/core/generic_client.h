@@ -11,20 +11,18 @@
 #include <atomic>
 #include <functional>
 #include <memory>
-#include <mutex>
 #include <optional>
 #include <string>
 #include <string_view>
 #include <vector>
 
-#include "src/common/backoff.h"
-#include "src/common/clock.h"
 #include "src/common/status.h"
 #include "src/core/key_codec.h"
 #include "src/core/options.h"
 #include "src/core/pack.h"
 #include "src/core/pack_cache.h"
 #include "src/core/pack_crypter.h"
+#include "src/core/pack_io.h"
 #include "src/crypto/crypto.h"
 #include "src/crypto/keyring.h"
 #include "src/crypto/ope.h"
@@ -87,7 +85,8 @@ class GenericClient {
   // same keyring (and options) — that is what keeps their sealing epochs and
   // retirement floors in lockstep during rotation. When
   // options.cache_capacity_bytes > 0 the client builds a private
-  // decrypted-pack cache.
+  // decrypted-pack cache. With options.encrypt_pack_ids the client caches
+  // nothing: PRF-bucket mode has no floor order for the version probe.
   GenericClient(Cluster* cluster, const MiniCryptOptions& options,
                 std::shared_ptr<Keyring> keyring);
 
@@ -195,37 +194,18 @@ class GenericClient {
   void set_split_fail_point(SplitFailPoint p) { split_fail_point_ = p; }
 
  private:
-  friend class PackSizeTuner;
+  // Fetches the pack that should contain `encoded_key` within `partition`:
+  // the cache-checked floor fetch (PackReader::FetchFloor; `allow_ttl` lets
+  // a TTL-fresh entry answer), or in PRF-bucket mode a direct read of the
+  // bucket's row. NotFound when the partition holds no pack at or below the
+  // key.
+  Result<FetchedPack> FetchPackFor(std::string_view partition, std::string_view encoded_key,
+                                   bool allow_ttl);
 
-  struct FetchedPack {
-    std::string pack_id;  // stored clustering key (may be PRF output)
-    std::shared_ptr<const Pack> pack;
-    std::string hash;       // envelope hash (update-if token)
-    bool ttl_fresh = false;  // served from the cache without a server probe
-  };
-
-  // Fetches the pack that should contain `encoded_key` within `partition`.
-  // NotFound when the partition holds no pack at or below the key.
-  Result<FetchedPack> FetchPackFor(std::string_view partition, std::string_view encoded_key);
-
-  // Cache-aware variant: serves from the pack cache after a version-only
-  // floor probe (or, with `allow_ttl`, straight from a TTL-fresh entry), and
-  // falls back to FetchPackFor + cache fill. Identical semantics to
-  // FetchPackFor when caching is off or packIDs are PRF-encrypted.
-  Result<FetchedPack> FetchPackCached(std::string_view partition, std::string_view encoded_key,
-                                      bool allow_ttl);
-
-  // FetchPackCached wrapped in the bounded Unavailable-retry loop shared by
-  // the read paths.
+  // FetchPackFor retried while Unavailable, as the read paths do. A
+  // TTL-fresh pack lacking `encoded_key` is confirmed against the server.
   Result<FetchedPack> FetchWithRetries(std::string_view partition, std::string_view encoded_key,
                                        bool allow_ttl);
-
-  // Opens an envelope already in hand (range reads), reusing a cached pack
-  // when its hash matches and filling the cache otherwise.
-  Result<std::shared_ptr<const Pack>> OpenPackCached(std::string_view partition,
-                                                     std::string_view pack_id,
-                                                     std::string_view envelope,
-                                                     std::string_view hash);
 
   // One write attempt; sets *retry when the caller should loop. `applied`
   // answers "does this pack already reflect my mutation?" — consulted after
@@ -243,10 +223,6 @@ class GenericClient {
   Status MutateWithRetries(uint64_t key, const std::function<void(Pack*)>& mutate,
                            const std::function<bool(const Pack&)>& applied, bool insert_if_new,
                            std::string_view op_name);
-
-  // Sleeps the backoff delay for the given 0-based retry ordinal via the
-  // cluster's clock.
-  void BackoffBeforeRetry(int attempt);
 
   // Runs the split protocol of Figure 6 on a fetched pack.
   Status SplitPack(std::string_view partition, const FetchedPack& fetched);
@@ -279,12 +255,6 @@ class GenericClient {
   // server indexes: identity normally, the OPE image in ope_pack_ids mode.
   std::string StoredKeyFor(std::string_view encoded_key) const;
 
-  // Cache bookkeeping after a mutation of `pack_id`: Put() the post-image on
-  // an acked LWT, Invalidate() on a lost race or ambiguous outcome.
-  void CacheAfterWrite(std::string_view partition, std::string_view pack_id, const Pack& pack,
-                       const std::string& hash);
-  void CacheInvalidate(std::string_view partition, std::string_view pack_id);
-
   Cluster* cluster_;
   MiniCryptOptions options_;
   // Epoch-versioned key material, shared across the customer's clients. The
@@ -299,17 +269,14 @@ class GenericClient {
   std::optional<PackIdCipher> packid_cipher_;
   std::optional<OpeCipher> ope_;
   std::shared_ptr<PackCache> cache_;  // nullptr = caching off
+  PackReader reader_;
   // Set by CreateIndex: Put calls the hook (index-first) before the primary
   // RMW loop. The hook indirection keeps generic_client.cc free of index
   // types, so mc_core does not link mc_index.
   std::shared_ptr<SecondaryIndex> index_;
   std::function<Status(uint64_t key, std::string_view value)> index_add_hook_;
   GenericClientStats stats_;
-  Clock* clock_;
-  // One client can serve many threads (benches do); the jitter RNG is the
-  // only mutable shared state on the retry path, so it gets its own lock.
-  std::mutex backoff_mu_;
-  Backoff backoff_;
+  RetryBackoff retry_;
   SplitFailPoint split_fail_point_ = SplitFailPoint::kNone;
 };
 

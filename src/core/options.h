@@ -67,23 +67,6 @@ struct MiniCryptOptions {
   uint64_t retry_backoff_max_micros = 20'000;
   uint64_t retry_jitter_seed = 0;
 
-  // --- Key rotation (GENERIC mode; docs/KEY_ROTATION.md) ----------------------
-
-  // Wall-clock bound on RotateKeys waiting for in-flight old-epoch seals to
-  // drain before the final verify + retire (Keyring::WaitForDrainBelow). An
-  // expired wait pauses the rotation with Unavailable; calling RotateKeys
-  // again resumes from the persisted stage.
-  uint64_t rotation_drain_timeout_millis = 30'000;
-
-  // Bounded re-seal attempts per pack (LWT races and Unavailable replicas
-  // both consume attempts) before the rotation pauses with Unavailable —
-  // foreground traffic always wins over rotation.
-  int rotation_reseal_attempts = 8;
-
-  // Bounded verify sweeps: each sweep re-seals any pack still below the
-  // target epoch, and a sweep that finds none proves the rotation complete.
-  int rotation_verify_passes = 8;
-
   // Figure 10 ablation only: write packs back blindly instead of with
   // update-if. Still pays the extra read, but loses the lost-update
   // protection — the paper measures this variant to justify keeping the

@@ -10,26 +10,8 @@ namespace minicrypt {
 
 namespace {
 
-constexpr std::string_view kValueColumn = "v";
-constexpr std::string_view kHashColumn = "h";
 // The manifest pack holds a single entry under this key.
 constexpr std::string_view kManifestEntryKey = "m";
-
-Row IndexPackRow(const SealedPack& sealed) {
-  Row row;
-  row.cells[std::string(kValueColumn)] = Cell{sealed.envelope, 0, false};
-  row.cells[std::string(kHashColumn)] = Cell{sealed.hash, 0, false};
-  return row;
-}
-
-Result<std::pair<std::string_view, std::string_view>> ExtractIndexCells(const Row& row) {
-  auto v = row.cells.find(kValueColumn);
-  auto h = row.cells.find(kHashColumn);
-  if (v == row.cells.end() || h == row.cells.end()) {
-    return Status::Corruption("index pack row missing value/hash cells");
-  }
-  return std::make_pair(std::string_view(v->second.value), std::string_view(h->second.value));
-}
 
 // An index entry's pack key: attr (big-endian) || pk (big-endian). Unique per
 // (attr, pk), and lexicographic order == (attr, pk) order, so in-range slices
@@ -101,29 +83,14 @@ SecondaryIndex::SecondaryIndex(Cluster* cluster, const MiniCryptOptions& options
       table_(options.table + ".idx." + iopts_.name),
       crypter_(options, key.Derive("index-pack:" + iopts_.name)),
       ope_(key.Derive("index-ope:" + iopts_.name)),
-      backoff_(options.retry_backoff_base_micros, options.retry_backoff_max_micros,
-               options.retry_jitter_seed != 0 ? options.retry_jitter_seed ^ 0x1D0ull
-                                              : 0x5EC1D0ull) {
+      retry_(options,
+             options.retry_jitter_seed != 0 ? options.retry_jitter_seed ^ 0x1D0ull : 0x5EC1D0ull,
+             cluster->options().clock) {
   options_.table = table_;
 }
 
 Status SecondaryIndex::CreateBacking() {
   return cluster_->CreateTable(table_, /*server_compression=*/false);
-}
-
-void SecondaryIndex::BackoffBeforeRetry(int attempt) {
-  uint64_t delay = 0;
-  {
-    std::lock_guard<std::mutex> lock(backoff_mu_);
-    delay = backoff_.NextDelayMicros(attempt);
-  }
-  if (delay > 0) {
-    cluster_->options().clock->SleepMicros(delay);
-  }
-}
-
-int SecondaryIndex::MaxRetries() const {
-  return iopts_.max_retries != 0 ? iopts_.max_retries : options_.max_put_retries;
 }
 
 size_t SecondaryIndex::LeafRows() const {
@@ -150,54 +117,34 @@ bool SecondaryIndex::InjectedFault(FaultPoint point, FailPoint step, std::string
 
 Result<SecondaryIndex::IndexRow> SecondaryIndex::ReadIndexRow(std::string_view partition,
                                                               std::string_view row_key) {
-  Result<Row> row = Status::Unavailable("index read never attempted");
-  for (int attempt = 0; attempt < MaxRetries(); ++attempt) {
-    if (attempt > 0) {
-      BackoffBeforeRetry(attempt - 1);
-    }
-    row = cluster_->Read(table_, partition, row_key);
-    if (row.ok() || !row.status().IsUnavailable()) {
-      break;
-    }
-  }
+  auto row = retry_.WhileUnavailable(options_.max_put_retries,
+                                     [&] { return cluster_->Read(table_, partition, row_key); });
   if (!row.ok()) {
     return row.status();
   }
-  MC_ASSIGN_OR_RETURN(auto cells, ExtractIndexCells(*row));
+  return OpenIndexRow(std::string(row_key), *row);
+}
+
+Result<SecondaryIndex::IndexRow> SecondaryIndex::OpenIndexRow(std::string row_key,
+                                                              const Row& row) const {
+  MC_ASSIGN_OR_RETURN(auto cells, ExtractPackCells(row));
   MC_ASSIGN_OR_RETURN(Pack pack, crypter_.Open(cells.first));
-  IndexRow out;
-  out.row_key = std::string(row_key);
-  out.pack = std::move(pack);
-  out.hash = std::string(cells.second);
-  return out;
+  return IndexRow{std::move(row_key), std::move(pack), std::string(cells.second)};
 }
 
 Result<std::vector<SecondaryIndex::IndexRow>> SecondaryIndex::ReadSegments() {
   const std::string lo(kIndexSegmentPrefix);
   const std::string hi = lo + std::string(8, '\xff');
-  Result<std::vector<std::pair<std::string, Row>>> rows =
-      Status::Unavailable("segment scan never attempted");
-  for (int attempt = 0; attempt < MaxRetries(); ++attempt) {
-    if (attempt > 0) {
-      BackoffBeforeRetry(attempt - 1);
-    }
-    rows = cluster_->ReadRange(table_, kIndexBufferPartition, lo, hi);
-    if (rows.ok() || !rows.status().IsUnavailable()) {
-      break;
-    }
-  }
+  auto rows = retry_.WhileUnavailable(options_.max_put_retries, [&] {
+    return cluster_->ReadRange(table_, kIndexBufferPartition, lo, hi);
+  });
   if (!rows.ok()) {
     return rows.status();
   }
   std::vector<IndexRow> out;
   out.reserve(rows->size());
   for (auto& [id, row] : *rows) {
-    MC_ASSIGN_OR_RETURN(auto cells, ExtractIndexCells(row));
-    MC_ASSIGN_OR_RETURN(Pack pack, crypter_.Open(cells.first));
-    IndexRow seg;
-    seg.row_key = id;
-    seg.pack = std::move(pack);
-    seg.hash = std::string(cells.second);
+    MC_ASSIGN_OR_RETURN(IndexRow seg, OpenIndexRow(id, row));
     out.push_back(std::move(seg));
   }
   return out;
@@ -208,15 +155,15 @@ Status SecondaryIndex::WriteIndexPack(std::string_view partition, std::string_vi
   MC_ASSIGN_OR_RETURN(SealedPack sealed, crypter_.Seal(pack));
   const std::string serialized = pack.Serialize();
   Status s = Status::Unavailable("index write never attempted");
-  for (int attempt = 0; attempt < MaxRetries(); ++attempt) {
+  for (int attempt = 0; attempt < options_.max_put_retries; ++attempt) {
     if (attempt > 0) {
-      BackoffBeforeRetry(attempt - 1);
+      retry_.Sleep(attempt - 1);
     }
     s = expected_hash.empty()
-            ? cluster_->WriteIf(table_, partition, row_key, IndexPackRow(sealed),
+            ? cluster_->WriteIf(table_, partition, row_key, PackRow(sealed),
                                 LwtCondition::NotExists())
-            : cluster_->WriteIf(table_, partition, row_key, IndexPackRow(sealed),
-                                LwtCondition::CellEquals(std::string(kHashColumn),
+            : cluster_->WriteIf(table_, partition, row_key, PackRow(sealed),
+                                LwtCondition::CellEquals(std::string(kPackHashColumn),
                                                          std::string(expected_hash)));
     if (s.ok() || s.IsConditionFailed() || s.IsAlreadyExists()) {
       return s;
@@ -229,18 +176,12 @@ Status SecondaryIndex::WriteIndexPack(std::string_view partition, std::string_vi
     // serialized plaintext does).
     auto current = cluster_->Read(table_, partition, row_key);
     if (current.ok()) {
-      auto cells = ExtractIndexCells(*current);
-      if (!cells.ok()) {
-        return cells.status();
-      }
-      if (cells->second == sealed.hash) {
+      MC_ASSIGN_OR_RETURN(auto cells, ExtractPackCells(*current));
+      if (cells.second == sealed.hash) {
         return Status::Ok();  // our exact envelope landed
       }
-      auto stored = crypter_.Open(cells->first);
-      if (!stored.ok()) {
-        return stored.status();
-      }
-      if (stored->Serialize() == serialized) {
+      MC_ASSIGN_OR_RETURN(Pack stored, crypter_.Open(cells.first));
+      if (stored.Serialize() == serialized) {
         return Status::Ok();  // identical content (ours, or a peer's equal write)
       }
       // Different content is stored: behave like a lost LWT race so the
@@ -330,9 +271,9 @@ Status SecondaryIndex::Add(uint64_t attr, uint64_t pk) {
 }
 
 Status SecondaryIndex::AddToBuffer(const std::string& entry_key) {
-  for (int attempt = 0; attempt < MaxRetries(); ++attempt) {
+  for (int attempt = 0; attempt < options_.max_put_retries; ++attempt) {
     if (attempt > 0) {
-      BackoffBeforeRetry(attempt - 1);
+      retry_.Sleep(attempt - 1);
       stats_.retries.fetch_add(1, std::memory_order_relaxed);
       OBS_COUNTER_INC("index.retries");
     }
@@ -377,7 +318,8 @@ Status SecondaryIndex::SealBufferSegment() {
   const uint64_t seq = segments.size();
   const std::string seg_key = SegmentRowKey(seq);
   Status s = WriteIndexPack(kIndexBufferPartition, seg_key, buf->pack, "");
-  for (int attempt = 0; attempt < MaxRetries() && (s.IsConditionFailed() || s.IsAlreadyExists());
+  for (int attempt = 0;
+       attempt < options_.max_put_retries && (s.IsConditionFailed() || s.IsAlreadyExists());
        ++attempt) {
     auto existing = ReadIndexRow(kIndexBufferPartition, seg_key);
     if (!existing.ok()) {
@@ -421,9 +363,9 @@ Status SecondaryIndex::SealBufferSegment() {
 
 Status SecondaryIndex::AddTotalOrder(uint64_t attr, const std::string& entry_key) {
   const std::string label = ope_.Encrypt(attr);
-  for (int attempt = 0; attempt < MaxRetries(); ++attempt) {
+  for (int attempt = 0; attempt < options_.max_put_retries; ++attempt) {
     if (attempt > 0) {
-      BackoffBeforeRetry(attempt - 1);
+      retry_.Sleep(attempt - 1);
       stats_.retries.fetch_add(1, std::memory_order_relaxed);
       OBS_COUNTER_INC("index.retries");
     }
@@ -448,18 +390,14 @@ Status SecondaryIndex::AddTotalOrder(uint64_t attr, const std::string& entry_key
       }
       return s;
     }
-    MC_ASSIGN_OR_RETURN(auto cells, ExtractIndexCells(floor->second));
-    MC_ASSIGN_OR_RETURN(Pack pack, crypter_.Open(cells.first));
-    IndexRow leaf;
-    leaf.row_key = floor->first;
-    leaf.hash = std::string(cells.second);
+    MC_ASSIGN_OR_RETURN(IndexRow leaf, OpenIndexRow(floor->first, floor->second));
+    Pack& pack = leaf.pack;
     if (pack.size() > (LeafRows() * 3 + 1) / 2 &&
         pack.entries().front().key.compare(0, 8, pack.entries().back().key, 0, 8) != 0) {
       // Oversized and spanning more than one attribute: split at an attr
       // boundary. A single-attribute run is indivisible under attr-labeled
       // routing (a second leaf would need this leaf's own label) and simply
       // grows past the threshold.
-      leaf.pack = std::move(pack);
       MC_RETURN_IF_ERROR(SplitLeaf(leaf));
       continue;  // re-route: the entry may now belong to the right half
     }
@@ -544,7 +482,8 @@ Status SecondaryIndex::SplitLeaf(const IndexRow& leaf) {
 
 Status SecondaryIndex::WriteLeafUnioning(const std::string& label, const Pack& pack) {
   Status s = WriteIndexPack(kIndexLeafPartition, label, pack, "");
-  for (int attempt = 0; attempt < MaxRetries() && (s.IsConditionFailed() || s.IsAlreadyExists());
+  for (int attempt = 0;
+       attempt < options_.max_put_retries && (s.IsConditionFailed() || s.IsAlreadyExists());
        ++attempt) {
     stats_.retries.fetch_add(1, std::memory_order_relaxed);
     OBS_COUNTER_INC("index.retries");
@@ -616,7 +555,7 @@ Status SecondaryIndex::BulkAdd(std::vector<std::pair<uint64_t, uint64_t>> attr_p
     }
     MC_RETURN_IF_ERROR(cluster_->Write(
         table_, sorted_leaves ? kIndexLeafPartition : kIndexBufferPartition, row_key,
-        IndexPackRow(sealed)));
+        PackRow(sealed)));
   }
   return Status::Ok();
 }
@@ -654,9 +593,9 @@ Result<std::vector<uint64_t>> SecondaryIndex::LookupRange(uint64_t lo, uint64_t 
 }
 
 Status SecondaryIndex::DrainForQuery(uint64_t lo, uint64_t hi, std::vector<uint64_t>* pks) {
-  for (int attempt = 0; attempt < MaxRetries(); ++attempt) {
+  for (int attempt = 0; attempt < options_.max_put_retries; ++attempt) {
     if (attempt > 0) {
-      BackoffBeforeRetry(attempt - 1);
+      retry_.Sleep(attempt - 1);
     }
     MC_ASSIGN_OR_RETURN(auto manifest_and_hash, ReadManifest());
     const Manifest& manifest = manifest_and_hash.first;
@@ -887,25 +826,16 @@ Result<std::vector<uint64_t>> SecondaryIndex::ScanCandidates(uint64_t lo, uint64
 Result<std::vector<uint64_t>> SecondaryIndex::LookupTotalOrder(uint64_t lo, uint64_t hi) {
   const std::string slo = ope_.Encrypt(lo);
   const std::string shi = ope_.Encrypt(hi);
-  Result<std::vector<std::pair<std::string, Row>>> rows =
-      Status::Unavailable("leaf scan never attempted");
-  for (int attempt = 0; attempt < MaxRetries(); ++attempt) {
-    if (attempt > 0) {
-      BackoffBeforeRetry(attempt - 1);
-    }
-    rows = cluster_->ReadRange(table_, kIndexLeafPartition, slo, shi);
-    if (rows.ok() || !rows.status().IsUnavailable()) {
-      break;
-    }
-  }
+  auto rows = retry_.WhileUnavailable(options_.max_put_retries, [&] {
+    return cluster_->ReadRange(table_, kIndexLeafPartition, slo, shi);
+  });
   if (!rows.ok()) {
     return rows.status();
   }
   std::set<uint64_t> pks;
   for (const auto& [label, row] : *rows) {
-    MC_ASSIGN_OR_RETURN(auto cells, ExtractIndexCells(row));
-    MC_ASSIGN_OR_RETURN(Pack pack, crypter_.Open(cells.first));
-    MC_RETURN_IF_ERROR(CollectInRange(pack, lo, hi, &pks));
+    MC_ASSIGN_OR_RETURN(IndexRow leaf, OpenIndexRow(label, row));
+    MC_RETURN_IF_ERROR(CollectInRange(leaf.pack, lo, hi, &pks));
   }
   // The leaf covering `lo` may be labeled strictly below it (Figure 4
   // line 5) — and it must be consulted even when a leaf labeled exactly
@@ -917,9 +847,8 @@ Result<std::vector<uint64_t>> SecondaryIndex::LookupTotalOrder(uint64_t lo, uint
   if (auto pred = PredecessorKey(slo); pred.has_value()) {
     auto floor = cluster_->ReadFloor(table_, kIndexLeafPartition, *pred);
     if (floor.ok()) {
-      MC_ASSIGN_OR_RETURN(auto cells, ExtractIndexCells(floor->second));
-      MC_ASSIGN_OR_RETURN(Pack pack, crypter_.Open(cells.first));
-      MC_RETURN_IF_ERROR(CollectInRange(pack, lo, hi, &pks));
+      MC_ASSIGN_OR_RETURN(IndexRow leaf, OpenIndexRow(floor->first, floor->second));
+      MC_RETURN_IF_ERROR(CollectInRange(leaf.pack, lo, hi, &pks));
     } else if (!floor.status().IsNotFound()) {
       return floor.status();
     }

@@ -45,18 +45,17 @@
 #include <atomic>
 #include <cstdint>
 #include <functional>
-#include <mutex>
 #include <optional>
 #include <string>
 #include <string_view>
 #include <utility>
 #include <vector>
 
-#include "src/common/backoff.h"
 #include "src/common/status.h"
 #include "src/core/options.h"
 #include "src/core/pack.h"
 #include "src/core/pack_crypter.h"
+#include "src/core/pack_io.h"
 #include "src/crypto/crypto.h"
 #include "src/crypto/ope.h"
 #include "src/index/indexed_value.h"
@@ -80,9 +79,6 @@ struct SecondaryIndexOptions {
   // Active-buffer entries before it is sealed into a segment.
   // 0 = derive ceil(1.5 * leaf_rows), mirroring EffectiveMaxKeys.
   size_t buffer_seal_rows = 0;
-
-  // Retry budget for index RMW loops. 0 = inherit max_put_retries.
-  int max_retries = 0;
 
   // Maps a row value to its indexed attribute; rows whose values don't
   // decode are not indexed. Defaults to DecodeIndexedAttr (indexed_value.h).
@@ -197,6 +193,8 @@ class SecondaryIndex {
   // --- row plumbing ----------------------------------------------------------
 
   Result<IndexRow> ReadIndexRow(std::string_view partition, std::string_view row_key);
+  // Decodes an index pack row already in hand.
+  Result<IndexRow> OpenIndexRow(std::string row_key, const Row& row) const;
   // All segment rows of the buffer partition, ascending by sequence.
   Result<std::vector<IndexRow>> ReadSegments();
   // Seals `pack` and writes it at (partition, row_key): INSERT IF NOT EXISTS
@@ -239,8 +237,6 @@ class SecondaryIndex {
 
   Result<std::vector<uint64_t>> LookupTotalOrder(uint64_t lo, uint64_t hi);
 
-  void BackoffBeforeRetry(int attempt);
-  int MaxRetries() const;
   size_t LeafRows() const;
   size_t BufferSealRows() const;
   void PublishSortedRegions(size_t regions);
@@ -256,8 +252,7 @@ class SecondaryIndex {
   PackCrypter crypter_;
   OpeCipher ope_;
   SecondaryIndexStats stats_;
-  std::mutex backoff_mu_;
-  Backoff backoff_;
+  RetryBackoff retry_;  // index RMW loops spend MiniCryptOptions::max_put_retries
   std::atomic<FailPoint> fail_point_{FailPoint::kNone};
 };
 

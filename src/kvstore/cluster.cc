@@ -1157,15 +1157,14 @@ Result<size_t> Cluster::RebalanceTokens(size_t max_moves) {
       continue;
     }
     std::map<std::string, size_t> local;
-    node->ForEachEngine([&](const std::string& table, StorageEngine* engine) {
-      (void)table;
+    for (const auto& [table, engine] : node->Engines()) {
       std::map<std::string, size_t> sizes;
       if (engine->PartitionSizes(&sizes).ok()) {
         for (const auto& [partition, bytes] : sizes) {
           local[partition] += bytes;
         }
       }
-    });
+    }
     for (const auto& [partition, bytes] : local) {
       auto& slot = partition_bytes[partition];
       slot = std::max(slot, bytes);
@@ -1413,7 +1412,7 @@ Status Cluster::CrashNode(int node) {
   OBS_COUNTER_INC("cluster.node.crashes");
   FaultInjector* fi = options_.fault_injector;
   Status first = Status::Ok();
-  target->ForEachEngine([&](const std::string& table, StorageEngine* engine) {
+  for (const auto& [table, engine] : target->Engines()) {
     // The kCrash draw sizes this engine's torn commit-log tail. The
     // evaluation is counted (and, under a crash-schedule rate, tripped)
     // whether or not a rate is configured, so seeded runs replay exactly.
@@ -1426,7 +1425,7 @@ Status Cluster::CrashNode(int node) {
     if (first.ok() && !s.ok()) {
       first = s;
     }
-  });
+  }
   target->cache()->Clear();  // node RAM is gone
   return first;
 }
@@ -1441,13 +1440,12 @@ Status Cluster::RestartNode(int node) {
   }
   Quiesce();  // no leg may race the log replay below
   Status first = Status::Ok();
-  target->ForEachEngine([&](const std::string& table, StorageEngine* engine) {
-    (void)table;
+  for (const auto& [table, engine] : target->Engines()) {
     const Status s = engine->RecoverFromLog();
     if (first.ok() && !s.ok()) {
       first = s;
     }
-  });
+  }
   OBS_COUNTER_INC("cluster.node.restarts");
   std::lock_guard<std::mutex> lock(down_mu_);
   node_down_[static_cast<size_t>(node)] = false;
@@ -1516,14 +1514,14 @@ Result<size_t> Cluster::ScrubNode(int node) {
   OBS_SPAN("cluster.scrub_node");
   size_t blocks_rebuilt = 0;
   Status first = Status::Ok();
-  target->ForEachEngine([&](const std::string& table, StorageEngine* engine) {
+  for (const auto& [table, engine] : target->Engines()) {
     std::vector<QuarantinedRange> ranges;
     const Status s = engine->Scrub(&ranges);
     if (!s.ok()) {
       if (first.ok()) {
         first = s;
       }
-      return;
+      continue;
     }
     // Rebuild each quarantined range from healthy peers BEFORE dropping the
     // corrupt tables: the replica keeps answering for every row it acked.
@@ -1534,7 +1532,7 @@ Result<size_t> Cluster::ScrubNode(int node) {
       blocks_rebuilt += range.blocks;
     }
     engine->DropQuarantined();
-  });
+  }
   MC_RETURN_IF_ERROR(first);
   return blocks_rebuilt;
 }

@@ -151,7 +151,7 @@ class Cluster {
   Status CreateTable(std::string_view name, bool server_compression = false);
   Status DropTable(std::string_view name);
 
-  // --- Data path (used by KvSession; all charge the network model) ----------
+  // --- Data path (all charge the network model) ------------------------------
 
   Status Write(std::string_view table, std::string_view partition,
                std::string_view clustering, const Row& update);
@@ -373,8 +373,6 @@ class Cluster {
   const ClusterOptions& options() const { return options_; }
 
  private:
-  friend class KvSession;
-
   struct PaxosShard;
   struct ReplicaFanout;  // shared state of one write's concurrent replica legs
 
@@ -536,7 +534,7 @@ class Cluster {
 
   // Topology state. ring_mu_ guards ring_, pending_ring_, membership_, and
   // nodes_ growth (the data path takes it shared per resolution; ownership
-  // flips take it exclusive). Lock order: ring_mu_ before down_mu_. nodes_
+  // flips take it exclusive). Lock order: ring_mu_, down_mu_, Node::mu_. nodes_
   // only ever grows and retired slots stay allocated, so Node*/engine
   // pointers remain stable for in-flight legs across any topology change.
   mutable std::shared_mutex ring_mu_;

@@ -34,21 +34,14 @@ StorageEngine* Node::FindEngine(std::string_view table) {
   return it == engines_.end() ? nullptr : it->second.get();
 }
 
-void Node::ForEachEngine(
-    const std::function<void(const std::string& table, StorageEngine*)>& fn) {
+std::vector<std::pair<std::string, StorageEngine*>> Node::Engines() {
   std::lock_guard<std::mutex> lock(mu_);
+  std::vector<std::pair<std::string, StorageEngine*>> out;
+  out.reserve(engines_.size());
   for (auto& [table, engine] : engines_) {
-    fn(table, engine.get());
+    out.emplace_back(table, engine.get());
   }
-}
-
-size_t Node::ApproximateBytes() {
-  std::lock_guard<std::mutex> lock(mu_);
-  size_t bytes = 0;
-  for (auto& [table, engine] : engines_) {
-    bytes += engine->AtRestBytes() + engine->MemtableBytes();
-  }
-  return bytes;
+  return out;
 }
 
 void Node::DropTable(std::string_view table) {

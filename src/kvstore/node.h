@@ -10,6 +10,8 @@
 #include <mutex>
 #include <string>
 #include <string_view>
+#include <utility>
+#include <vector>
 
 #include "src/kvstore/block_cache.h"
 #include "src/kvstore/media.h"
@@ -34,17 +36,14 @@ class Node {
   // nullptr when the table does not exist on this node.
   StorageEngine* FindEngine(std::string_view table);
 
-  // Applies `fn` to every (table, engine) pair, in table order. Holds the
-  // node's engine-map mutex for the duration; `fn` may call engine methods
-  // (engine mutexes nest below).
-  void ForEachEngine(const std::function<void(const std::string& table, StorageEngine*)>& fn);
+  // Snapshot of every (table, engine) pair, in table order. The engine-map
+  // mutex is released before returning, so callers may take cluster locks
+  // while they work on the engines (lock order: Cluster::ring_mu_ ->
+  // Cluster::down_mu_ -> Node::mu_). Like FindEngine's, the pointers stay
+  // valid until DropTable.
+  std::vector<std::pair<std::string, StorageEngine*>> Engines();
 
   void DropTable(std::string_view table);
-
-  // Stored bytes across every engine (at rest + memtable) — the coarse load
-  // signal the cluster's token rebalancer falls back on and exports as the
-  // ring.node_bytes gauge.
-  size_t ApproximateBytes();
 
  private:
   int id_;

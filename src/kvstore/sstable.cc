@@ -110,7 +110,7 @@ void SstableBuilder::FlushBlock() {
 
 std::shared_ptr<Sstable> SstableBuilder::Finish(Media* media, FaultInjector* fault_injector) {
   FlushBlock();
-  BloomFilter bloom(keys_for_bloom_.size(), options_.bloom_bits_per_key);
+  BloomFilter bloom(keys_for_bloom_.size());  // 10 bits/key
   for (const auto& k : keys_for_bloom_) {
     bloom.Add(k);
   }

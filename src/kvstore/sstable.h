@@ -42,7 +42,6 @@ class FaultInjector;
 
 struct SstableOptions {
   size_t block_bytes = 4096;
-  int bloom_bits_per_key = 10;
   bool server_compression = false;  // compress blocks at rest (zlib)
   bool verify_checksums = true;     // verify block CRC32 on every fetch
   std::string table;                // table name, for corruption messages

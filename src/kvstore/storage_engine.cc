@@ -11,7 +11,7 @@ StorageEngine::StorageEngine(StorageEngineOptions options, BlockCache* cache, Me
                              std::unique_ptr<LogSink> log_sink)
     : options_(options), cache_(cache), media_(media),
       next_sstable_id_(options.sstable_id_base + 1) {
-  if (options_.enable_commit_log && log_sink != nullptr) {
+  if (log_sink != nullptr) {
     log_ = std::make_unique<CommitLog>(std::move(log_sink), media_, options_.fault_injector,
                                        options_.commitlog_sync_every_appends);
   }

@@ -52,7 +52,6 @@ struct StorageEngineOptions {
   size_t memtable_flush_bytes = 4 * 1024 * 1024;
   int compaction_trigger = 8;  // full compaction when this many SSTables exist
   SstableOptions sstable;
-  bool enable_commit_log = true;
   // Appends per fsync-equivalent (1 = every append durable before ack;
   // Cassandra's batch mode). Larger values leave an unsynced tail that a
   // crash tears — the regime the crash/recovery chaos schedule exercises.

@@ -1,6 +1,7 @@
 // Unit + end-to-end coverage for the client-side decrypted-pack cache:
 // capacity eviction, version-mismatch revalidation, invalidate-on-ambiguous
-// LWT outcomes, cross-client sharing, and the TTL fast path.
+// LWT outcomes, cross-client sharing, the TTL fast path, and APPEND-mode
+// merged-pack reads.
 
 #include "src/core/pack_cache.h"
 
@@ -8,9 +9,12 @@
 
 #include <memory>
 #include <string>
+#include <vector>
 
 #include "src/common/clock.h"
 #include "src/common/coding.h"
+#include "src/core/append/append_client.h"
+#include "src/core/append/epoch.h"
 #include "src/core/generic_client.h"
 #include "src/core/key_codec.h"
 #include "src/core/pack_crypter.h"
@@ -336,6 +340,99 @@ TEST(PackCacheClient, RotatorsOwnCacheStaysCoherentWhileResealing) {
     EXPECT_EQ(*v, "v" + std::to_string(k));
   }
   EXPECT_EQ(client.pack_cache()->Stats().misses, misses_before);
+}
+
+// --- End-to-end through AppendClient's merged-pack reads ---------------------
+
+// Seals `entries` into one pack and writes it the way MergeEpoch does: into
+// epoch 0 under its min key, sealed with an empty AAD context. A second call
+// with the same min key stands in for a foreign rewrite of that pack row.
+void WriteMergedPack(Cluster* cluster, const MiniCryptOptions& options, const SymmetricKey& key,
+                     std::vector<Pack::Entry> entries) {
+  auto pack = Pack::FromSorted(std::move(entries));
+  ASSERT_TRUE(pack.ok());
+  const PackCrypter crypter(options, key);  // outlives the seal's epoch pin
+  auto sealed = crypter.Seal(*pack);
+  ASSERT_TRUE(sealed.ok());
+  Row row;
+  row.cells["v"] = Cell{sealed->envelope, 0, false};
+  row.cells["h"] = Cell{sealed->hash, 0, false};
+  ASSERT_TRUE(cluster
+                  ->Write(options.table, EpochPartition(kMergedEpoch),
+                          std::string(*pack->MinKey()), row)
+                  .ok());
+}
+
+TEST(PackCacheAppend, MergedReadsRevalidateAndRefetchOnce) {
+  Cluster cluster(ClusterOptions::ForTest());
+  const SymmetricKey key = SymmetricKey::FromSeed("tenant");
+  const MiniCryptOptions options = CachedOptions();
+  ASSERT_TRUE(cluster.CreateTable(options.table, /*server_compression=*/false).ok());
+  AppendClient client(&cluster, options, key, "reader", cluster.options().clock);
+  ASSERT_NE(client.pack_cache(), nullptr);
+  WriteMergedPack(&cluster, options, key,
+                  {{EncodeKey64(1), "a"}, {EncodeKey64(2), "b"}, {EncodeKey64(3), "c"}});
+
+  auto v = client.Get(2);  // nothing cached yet: full floor fetch, fills the cache
+  ASSERT_TRUE(v.ok()) << v.status().ToString();
+  EXPECT_EQ(*v, "b");
+
+  // A second read is a probe-confirmed hit: no envelope fetched.
+  PackCacheStats before = client.pack_cache()->Stats();
+  v = client.Get(2);
+  ASSERT_TRUE(v.ok());
+  EXPECT_EQ(*v, "b");
+  PackCacheStats after = client.pack_cache()->Stats();
+  EXPECT_EQ(after.hits, before.hits + 1);
+  EXPECT_EQ(after.revalidations, before.revalidations + 1);
+  EXPECT_EQ(after.misses, before.misses);
+
+  // A foreign rewrite moves the stored hash: the probe catches the mismatch
+  // and the client refetches the probed pack, counted as one miss.
+  WriteMergedPack(&cluster, options, key,
+                  {{EncodeKey64(1), "a"}, {EncodeKey64(2), "B"}, {EncodeKey64(3), "c"}});
+  before = client.pack_cache()->Stats();
+  v = client.Get(2);
+  ASSERT_TRUE(v.ok());
+  EXPECT_EQ(*v, "B");
+  after = client.pack_cache()->Stats();
+  EXPECT_EQ(after.invalidations, before.invalidations + 1);
+  EXPECT_EQ(after.hits, before.hits);
+  EXPECT_EQ(after.misses, before.misses + 1);
+
+  // The refetched pack was cached: the next read revalidates it.
+  before = after;
+  v = client.Get(2);
+  ASSERT_TRUE(v.ok());
+  EXPECT_EQ(*v, "B");
+  EXPECT_EQ(client.pack_cache()->Stats().hits, before.hits + 1);
+}
+
+TEST(PackCacheAppend, TtlFreshPackLackingKeyStillFindsItInNewerPack) {
+  SimulatedClock clock;
+  ClusterOptions copts = ClusterOptions::ForTest();
+  copts.clock = &clock;
+  Cluster cluster(copts);
+  const SymmetricKey key = SymmetricKey::FromSeed("tenant");
+  MiniCryptOptions options = CachedOptions();
+  options.cache_ttl_micros = 1'000'000;
+  ASSERT_TRUE(cluster.CreateTable(options.table, /*server_compression=*/false).ok());
+  AppendClient client(&cluster, options, key, "reader", &clock);
+  WriteMergedPack(&cluster, options, key, {{EncodeKey64(1), "a"}, {EncodeKey64(2), "b"}});
+  ASSERT_TRUE(client.Get(1).ok());  // caches pack 1, validated now
+
+  // A later merge lands a newer pack the cache never saw. The TTL-fresh
+  // pack 1 is the cache's floor for key 5 but lacks it; the read must go
+  // to the server rather than answer from pack 1.
+  WriteMergedPack(&cluster, options, key, {{EncodeKey64(5), "e"}});
+  ASSERT_TRUE(cluster.Read(options.table, EpochPartition(kMergedEpoch), EncodeKey64(5)).ok());
+  auto v = client.Get(5);
+  ASSERT_TRUE(v.ok()) << v.status().ToString();
+  EXPECT_EQ(*v, "e");
+  // Pack 1 itself is still served from the TTL-fresh entry.
+  v = client.Get(2);
+  ASSERT_TRUE(v.ok());
+  EXPECT_EQ(*v, "b");
 }
 
 }  // namespace
