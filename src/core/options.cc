@@ -17,9 +17,6 @@ Status MiniCryptOptions::Validate() const {
   if (FindCompressor(codec) == nullptr) {
     return Status::InvalidArgument("unknown codec: " + codec);
   }
-  if (EffectiveMaxKeys() <= pack_rows / 2) {
-    return Status::InvalidArgument("max_keys too small relative to pack_rows");
-  }
   if (epoch_micros <= t_delta_micros + t_drift_micros) {
     // Paper §6.1: EPOCH > T_delta + T_drift, otherwise the merge-safety
     // argument (Figure 8) does not hold.

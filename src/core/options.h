@@ -19,9 +19,6 @@ struct MiniCryptOptions {
   // Target keys per pack (the paper's n; its evaluation uses 50, §8).
   size_t pack_rows = 50;
 
-  // Split threshold (paper §5.2: "can be set to 1.5 * n"). 0 = derive.
-  size_t max_keys = 0;
-
   // Hash partitions the key space is spread over (paper §7: default 8).
   int hash_partitions = 8;
 
@@ -88,10 +85,8 @@ struct MiniCryptOptions {
   // Merger scan period.
   uint64_t merge_period_micros = 300'000;
 
-  // Derived accessors.
-  size_t EffectiveMaxKeys() const {
-    return max_keys != 0 ? max_keys : (pack_rows * 3 + 1) / 2;  // ceil(1.5n)
-  }
+  // Split threshold (paper §5.2: "can be set to 1.5 * n"): ceil(1.5n).
+  size_t EffectiveMaxKeys() const { return (pack_rows * 3 + 1) / 2; }
 
   // Validates invariants (epoch bound, nonzero sizes).
   Status Validate() const;

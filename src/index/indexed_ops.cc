@@ -8,6 +8,7 @@
 
 #include "src/common/coding.h"
 #include "src/core/generic_client.h"
+#include "src/index/indexed_value.h"
 #include "src/index/secondary_index.h"
 #include "src/obs/metrics.h"
 
@@ -20,7 +21,7 @@ Status GenericClient::CreateIndex(const SecondaryIndexOptions& iopts) {
   // The hook keeps Put() free of index types. Rows whose values don't decode
   // an attribute are simply not indexed (and thus not findable by value).
   index_add_hook_ = [this](uint64_t key, std::string_view value) -> Status {
-    auto attr = index_->ExtractAttr(value);
+    auto attr = DecodeIndexedAttr(value);
     if (!attr.has_value()) {
       return Status::Ok();
     }
@@ -52,7 +53,7 @@ Result<std::vector<std::pair<uint64_t, std::string>>> GenericClient::GetRangeByV
       }
       return rows[i].status();
     }
-    const auto attr = index_->ExtractAttr(*rows[i]);
+    const auto attr = DecodeIndexedAttr(*rows[i]);
     if (!attr.has_value() || *attr < lo || *attr > hi) {
       ++stale;  // attribute rewritten since the entry was added
       continue;
@@ -68,7 +69,7 @@ Status GenericClient::BulkLoadIndexed(const std::vector<std::pair<uint64_t, std:
     std::vector<std::pair<uint64_t, uint64_t>> attr_pk;
     attr_pk.reserve(rows.size());
     for (const auto& [key, value] : rows) {
-      auto attr = index_->ExtractAttr(value);
+      auto attr = DecodeIndexedAttr(value);
       if (attr.has_value()) {
         attr_pk.emplace_back(*attr, key);
       }

@@ -3,9 +3,9 @@
 // The secondary index orders rows by a 64-bit attribute carried inside the
 // (encrypted) row value. The canonical layout keeps the attribute extractable
 // without schema machinery: an 8-byte big-endian attribute prefix followed by
-// the opaque payload. Workload generators, benches, and the default index
-// extractor all agree on this layout; applications with their own value
-// format supply a custom extractor in SecondaryIndexOptions instead.
+// the opaque payload. Workload generators, benches, and the index's
+// attribute extraction all agree on this layout; rows whose values don't
+// decode are not indexed.
 //
 // Header-only on purpose: the workload library uses it without linking the
 // index protocol engine.

@@ -44,7 +44,6 @@
 
 #include <atomic>
 #include <cstdint>
-#include <functional>
 #include <optional>
 #include <string>
 #include <string_view>
@@ -79,10 +78,6 @@ struct SecondaryIndexOptions {
   // Active-buffer entries before it is sealed into a segment.
   // 0 = derive ceil(1.5 * leaf_rows), mirroring EffectiveMaxKeys.
   size_t buffer_seal_rows = 0;
-
-  // Maps a row value to its indexed attribute; rows whose values don't
-  // decode are not indexed. Defaults to DecodeIndexedAttr (indexed_value.h).
-  std::function<std::optional<uint64_t>(std::string_view)> extractor;
 };
 
 struct SecondaryIndexStats {
@@ -149,10 +144,6 @@ class SecondaryIndex {
   const SecondaryIndexOptions& index_options() const { return iopts_; }
   const std::string& backing_table() const { return table_; }
   const OpeCipher& ope() const { return ope_; }
-
-  std::optional<uint64_t> ExtractAttr(std::string_view value) const {
-    return iopts_.extractor ? iopts_.extractor(value) : DecodeIndexedAttr(value);
-  }
 
   // Test hooks: abort a structural protocol at a chosen step, modelling a
   // client crash (mirrors GenericClient::SplitFailPoint). The injected-fault

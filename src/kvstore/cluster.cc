@@ -38,7 +38,7 @@ ClusterOptions ClusterOptions::ForTest() {
 }
 
 Cluster::Cluster(ClusterOptions options)
-    : options_(options), ring_(options.vnodes),
+    : options_(options),
       node_down_(static_cast<size_t>(options.node_count), false),
       hints_(static_cast<size_t>(options.node_count)),
       paxos_locks_(std::make_unique<std::mutex[]>(kPaxosShards)) {
@@ -260,16 +260,6 @@ Result<Cluster::ReplicaSet> Cluster::ResolveReplicas(std::string_view table,
   return rs;
 }
 
-Result<std::vector<Node*>> Cluster::ReplicasFor(std::string_view table,
-                                                std::string_view partition,
-                                                std::vector<StorageEngine*>* engines) {
-  MC_ASSIGN_OR_RETURN(ReplicaSet rs, ResolveReplicas(table, partition));
-  if (engines != nullptr) {
-    *engines = std::move(rs.natural_engines);
-  }
-  return std::move(rs.natural);
-}
-
 size_t Cluster::RequiredAcks(size_t replica_count) const {
   return options_.consistency == Consistency::kQuorum ? replica_count / 2 + 1 : 1;
 }
@@ -306,6 +296,12 @@ Status Cluster::Write(std::string_view table, std::string_view partition,
 
   ChargeRtt(1);
   ChargeTransfer(bytes);
+  return ApplyWithTopologyRetry(table, std::move(rs), partition, clustering, stamped);
+}
+
+Status Cluster::ApplyWithTopologyRetry(std::string_view table, ReplicaSet rs,
+                                       std::string_view partition, std::string_view clustering,
+                                       const Row& stamped) {
   // An ownership flip between resolution and phase 1 aborts the apply before
   // any leg runs or fault point draws; re-resolve against the new topology
   // and retry. Bounded: back-to-back flips are a test-only pathology.
@@ -446,7 +442,8 @@ Status Cluster::WriteIf(std::string_view table, std::string_view partition,
   }
 }
 
-std::vector<size_t> Cluster::LiveIndexesLocked(const std::vector<Node*>& replicas) const {
+std::vector<size_t> Cluster::LiveIndexes(const std::vector<Node*>& replicas) const {
+  std::lock_guard<std::mutex> lock(down_mu_);
   std::vector<size_t> live;
   live.reserve(replicas.size());
   for (size_t i = 0; i < replicas.size(); ++i) {
@@ -458,39 +455,48 @@ std::vector<size_t> Cluster::LiveIndexesLocked(const std::vector<Node*>& replica
   return live;
 }
 
-std::vector<size_t> Cluster::LiveIndexes(const std::vector<Node*>& replicas) const {
-  std::lock_guard<std::mutex> lock(down_mu_);
-  return LiveIndexesLocked(replicas);
-}
-
-Status Cluster::ReadOne(std::string_view table, const std::vector<Node*>& replicas,
-                        const std::vector<StorageEngine*>& engines,
-                        const std::function<Status(StorageEngine*)>& op) {
-  const std::vector<size_t> live = LiveIndexes(replicas);
-  if (live.empty()) {
+Status Cluster::ReadReplicas(std::string_view table, const ReplicaSet& rs,
+                             const std::function<Status(StorageEngine*)>& op,
+                             std::vector<size_t>* contacted) {
+  const bool quorum = options_.consistency == Consistency::kQuorum;
+  const std::vector<size_t> live = LiveIndexes(rs.natural);
+  if (!quorum && live.empty()) {
     return Status::Unavailable("no live replica for read");
   }
+  const size_t wanted = RequiredAcks(rs.natural_engines.size());
+  const uint64_t start = quorum ? 0 : read_rr_.fetch_add(1, std::memory_order_relaxed);
   FaultInjector* fi = options_.fault_injector;
-  const uint64_t n = read_rr_.fetch_add(1, std::memory_order_relaxed);
-  // Prefer the round-robin choice; fall forward past replicas whose read
-  // fails at the media layer or answers Corruption. A bad block never
-  // reaches the client as data — the worst case is every copy bad, and that
-  // surfaces as the error below, not as bytes.
   Status last = Status::Unavailable("read failed on every live replica");
-  for (size_t step = 0; step < live.size(); ++step) {
-    const size_t i = live[(n + step) % live.size()];
+  size_t answers = 0;
+  for (size_t step = 0; step < live.size() && answers < wanted; ++step) {
+    const size_t i = live[(start + step) % live.size()];
     if (fi != nullptr && fi->Fire(FaultPoint::kMediaReadError, table)) {
       OBS_COUNTER_INC("cluster.read.replica_errors");
       continue;
     }
-    const Status s = op(engines[i]);
-    if (s.ok() || s.IsNotFound()) {
+    const Status s = op(rs.natural_engines[i]);
+    if (!s.ok() && !s.IsNotFound()) {
+      OBS_COUNTER_INC("cluster.read.replica_errors");
+      last = s;
+      continue;
+    }
+    if (!quorum) {
       return s;
     }
-    OBS_COUNTER_INC("cluster.read.replica_errors");
-    last = s;
+    if (answers++ > 0) {
+      ChargeRtt(1);  // extra replica hop under QUORUM
+    }
+    contacted->push_back(i);
   }
-  return last;
+  if (!quorum) {
+    return last;  // no live replica answered
+  }
+  if (answers < wanted) {
+    OBS_COUNTER_INC("cluster.read.unavailable");
+    return Status::Unavailable("quorum read got " + std::to_string(answers) + "/" +
+                               std::to_string(wanted) + " answers");
+  }
+  return Status::Ok();
 }
 
 void Cluster::SetNodeDown(int node, bool down) {
@@ -540,11 +546,7 @@ void Cluster::ReplayHintsLocked(int node) {
       }
       engine = target->EngineFor(hint.table, server_compression);
     }
-    const Status s =
-        hint.partition_tombstone_ts != 0
-            ? engine->ApplyPartitionTombstone(hint.partition, hint.partition_tombstone_ts)
-            : engine->Apply(hint.partition, hint.clustering, hint.update);
-    if (s.ok()) {
+    if (engine->Apply(hint.partition, hint.clustering, hint.update).ok()) {
       OBS_COUNTER_INC("cluster.hints.replayed");
     } else {
       // Replay can itself hit an injected durability fault; keep the hint so
@@ -670,7 +672,6 @@ struct Cluster::ReplicaFanout {
   std::string partition;
   std::string clustering;
   Row stamped;
-  uint64_t partition_tombstone_ts = 0;  // nonzero: whole-partition tombstone
   std::vector<StorageEngine*> engines;
   std::vector<int> node_ids;
   std::vector<Plan> plan;
@@ -685,8 +686,7 @@ struct Cluster::ReplicaFanout {
 
 Status Cluster::ApplyToReplicas(std::string_view table, const ReplicaSet& rs,
                                 std::string_view partition, std::string_view clustering,
-                                const Row& stamped, size_t required_acks,
-                                uint64_t partition_tombstone_ts) {
+                                const Row& stamped, size_t required_acks) {
   FaultInjector* fi = options_.fault_injector;
   // Concatenate natural + pending legs. Pending endpoints (nodes gaining this
   // partition under an open topology window) raise the ack requirement by
@@ -701,9 +701,7 @@ Status Cluster::ApplyToReplicas(std::string_view table, const ReplicaSet& rs,
     replicas.insert(replicas.end(), rs.pending.begin(), rs.pending.end());
     engines.insert(engines.end(), rs.pending_engines.begin(), rs.pending_engines.end());
     required_acks += rs.pending.size();
-    if (partition_tombstone_ts == 0) {
-      OBS_COUNTER_ADD("ring.dual_apply.legs", rs.pending.size());
-    }
+    OBS_COUNTER_ADD("ring.dual_apply.legs", rs.pending.size());
   }
 
   auto fanout = std::make_shared<ReplicaFanout>();
@@ -711,7 +709,6 @@ Status Cluster::ApplyToReplicas(std::string_view table, const ReplicaSet& rs,
   fanout->partition = std::string(partition);
   fanout->clustering = std::string(clustering);
   fanout->stamped = stamped;
-  fanout->partition_tombstone_ts = partition_tombstone_ts;
   fanout->engines = engines;
   fanout->node_ids.reserve(engines.size());
   fanout->plan.reserve(engines.size());
@@ -719,9 +716,7 @@ Status Cluster::ApplyToReplicas(std::string_view table, const ReplicaSet& rs,
   // Phase 1 — plan, under down_mu_ in replica order: resolve down-ness and
   // draw the coordinator fault points (drop / delay / write-error). Drawing
   // here, before any leg runs, keeps each point's ordinal stream in replica
-  // order regardless of how phase 2 interleaves. The partition-tombstone
-  // path historically fired no coordinator points; keep it that way so
-  // scripted fault ordinals replay unchanged.
+  // order regardless of how phase 2 interleaves.
   size_t legs = 0;
   {
     std::lock_guard<std::mutex> lock(down_mu_);
@@ -733,9 +728,7 @@ Status Cluster::ApplyToReplicas(std::string_view table, const ReplicaSet& rs,
     if (rs.epoch != topology_epoch_.load(std::memory_order_acquire)) {
       return Status::Aborted(std::string(kTopologyAbortMsg));
     }
-    if (partition_tombstone_ts == 0) {
-      OBS_COUNTER_ADD("cluster.replica.fanout", engines.size());
-    }
+    OBS_COUNTER_ADD("cluster.replica.fanout", engines.size());
     for (size_t i = 0; i < engines.size(); ++i) {
       const auto node_id = static_cast<size_t>(replicas[i]->id());
       fanout->node_ids.push_back(static_cast<int>(node_id));
@@ -743,14 +736,13 @@ Status Cluster::ApplyToReplicas(std::string_view table, const ReplicaSet& rs,
       bool hint = false;
       if (node_id < node_down_.size() && node_down_[node_id]) {
         hint = true;
-      } else if (partition_tombstone_ts == 0 && fi != nullptr &&
-                 fi->Fire(FaultPoint::kReplicaDrop, table)) {
+      } else if (fi != nullptr && fi->Fire(FaultPoint::kReplicaDrop, table)) {
         // Coordinator->replica message lost; Cassandra queues a hint exactly
         // as it does for a down node.
         OBS_COUNTER_INC("cluster.replica.dropped");
         hint = true;
       } else {
-        if (partition_tombstone_ts == 0 && fi != nullptr) {
+        if (fi != nullptr) {
           uint64_t draw = 0;
           if (fi->Fire(FaultPoint::kReplicaDelay, table, &draw)) {
             OBS_COUNTER_INC("cluster.replica.delayed");
@@ -768,8 +760,8 @@ Status Cluster::ApplyToReplicas(std::string_view table, const ReplicaSet& rs,
       if (hint) {
         // Hinted handoff: queue the timestamped mutation for replay.
         OBS_COUNTER_INC("cluster.hints.queued");
-        hints_[node_id].push_back(Hint{fanout->table, fanout->partition, fanout->clustering,
-                                       stamped, partition_tombstone_ts});
+        hints_[node_id].push_back(
+            Hint{fanout->table, fanout->partition, fanout->clustering, stamped});
       }
       fanout->plan.push_back(plan);
     }
@@ -815,10 +807,6 @@ Status Cluster::ApplyToReplicas(std::string_view table, const ReplicaSet& rs,
     return Status::Ok();
   }
   OBS_COUNTER_INC("cluster.write.underacked");
-  if (partition_tombstone_ts != 0) {
-    return Status::Unavailable("partition delete acked by " + std::to_string(fanout->acks) +
-                               "/" + std::to_string(required_acks) + " required replicas");
-  }
   return Status::Unavailable("write acked by " + std::to_string(fanout->acks) + "/" +
                              std::to_string(required_acks) + " required replicas");
 }
@@ -845,20 +833,13 @@ void Cluster::RunReplicaLeg(const std::shared_ptr<ReplicaFanout>& fanout, size_t
     if (down_now) {
       hint = true;
     } else {
-      const Status s =
-          fanout->partition_tombstone_ts != 0
-              ? fanout->engines[i]->ApplyPartitionTombstone(fanout->partition,
-                                                            fanout->partition_tombstone_ts)
-              : fanout->engines[i]->Apply(fanout->partition, fanout->clustering,
-                                          fanout->stamped);
-      if (s.ok()) {
+      if (fanout->engines[i]->Apply(fanout->partition, fanout->clustering, fanout->stamped)
+              .ok()) {
         ack = true;
       } else {
         // Commit-log (fsync) failure: the replica rejected the mutation;
         // park it as a hint like a transient outage.
-        if (fanout->partition_tombstone_ts == 0) {
-          OBS_COUNTER_INC("cluster.replica.apply_errors");
-        }
+        OBS_COUNTER_INC("cluster.replica.apply_errors");
         hint = true;
       }
     }
@@ -866,8 +847,8 @@ void Cluster::RunReplicaLeg(const std::shared_ptr<ReplicaFanout>& fanout, size_t
   if (hint) {
     std::lock_guard<std::mutex> lock(down_mu_);
     OBS_COUNTER_INC("cluster.hints.queued");
-    hints_[node_id].push_back(Hint{fanout->table, fanout->partition, fanout->clustering,
-                                   fanout->stamped, fanout->partition_tombstone_ts});
+    hints_[node_id].push_back(
+        Hint{fanout->table, fanout->partition, fanout->clustering, fanout->stamped});
   }
   {
     std::lock_guard<std::mutex> lock(fanout->mu);
@@ -914,8 +895,8 @@ Status Cluster::StreamPendingRanges() {
   // Snapshot the window under the shared lock; the scans below then run
   // against ring copies. The window cannot flip mid-stream — topology_mu_
   // (held by every caller) serializes streaming with the flip.
-  HashRing natural(options_.vnodes);
-  HashRing pending(options_.vnodes);
+  HashRing natural;
+  HashRing pending;
   std::vector<int> sources;
   {
     std::shared_lock<std::shared_mutex> lock(ring_mu_);
@@ -1038,7 +1019,7 @@ Status Cluster::RunBootstrap() {
     MC_RETURN_IF_ERROR(PersistMembership("bootstrap stream node=" + std::to_string(op.node)));
     CommitTopology([&]() {
       HashRing next = ring_;
-      next.AddNodeWithTokens(op.node, HashRing::PlanTokens(op.node, options_.vnodes));
+      next.AddNodeWithTokens(op.node, HashRing::PlanTokens(op.node, ring_.vnodes()));
       pending_ring_ = std::move(next);
       membership_[op.node] = MembershipState::kStreaming;
     });
@@ -1357,13 +1338,13 @@ uint64_t HashCombine(uint64_t h, uint64_t v) {
 }
 }  // namespace
 
-size_t Cluster::RepairContacted(std::string_view table, const std::vector<Node*>& replicas,
-                                const std::vector<StorageEngine*>& engines,
+size_t Cluster::RepairContacted(std::string_view table, const ReplicaSet& rs,
                                 const std::vector<size_t>& contacted, std::string_view partition,
                                 std::string_view clustering, const Row& merged) {
   size_t holders = 0;
   for (size_t idx : contacted) {
-    auto have = engines[idx]->Get(partition, clustering);
+    StorageEngine* engine = rs.natural_engines[idx];
+    auto have = engine->Get(partition, clustering);
     if (have.ok() && !RowNeedsRepair(*have, merged)) {
       ++holders;
       continue;
@@ -1371,13 +1352,13 @@ size_t Cluster::RepairContacted(std::string_view table, const std::vector<Node*>
     // NotFound and Corruption both fall through to the repair write: the
     // merged row lands in the memtable either way, restoring quorum
     // durability without touching the bad block.
-    if (engines[idx]->Apply(partition, clustering, merged).ok()) {
+    if (engine->Apply(partition, clustering, merged).ok()) {
       OBS_COUNTER_INC("cluster.read.repairs");
       ++holders;
     } else {
       // The replica rejected the repair (injected commit-log fault): park it
       // as a hint, like any other failed replica write.
-      const auto node_id = static_cast<size_t>(replicas[idx]->id());
+      const auto node_id = static_cast<size_t>(rs.natural[idx]->id());
       std::lock_guard<std::mutex> lock(down_mu_);
       OBS_COUNTER_INC("cluster.hints.queued");
       hints_[node_id].push_back(
@@ -1696,65 +1677,34 @@ Result<Row> Cluster::Read(std::string_view table, std::string_view partition,
                           std::string_view clustering) {
   ScopedSpan read_span(ReadLatencyFor(options_.consistency));
   stats_.reads.fetch_add(1, std::memory_order_relaxed);
-  std::vector<StorageEngine*> engines;
-  MC_ASSIGN_OR_RETURN(std::vector<Node*> replicas, ReplicasFor(table, partition, &engines));
-  (void)replicas;
+  MC_ASSIGN_OR_RETURN(const ReplicaSet rs, ResolveReplicas(table, partition));
   ChargeRtt(1);
 
   Row merged;
   bool found = false;
-  if (options_.consistency == Consistency::kQuorum) {
-    FaultInjector* fi = options_.fault_injector;
-    const size_t ask = engines.size() / 2 + 1;
-    const std::vector<size_t> live = LiveIndexes(replicas);
-    size_t votes = 0;
-    std::vector<size_t> contacted;
-    for (size_t idx : live) {
-      if (votes == ask) {
-        break;
-      }
-      if (fi != nullptr && fi->Fire(FaultPoint::kMediaReadError, table)) {
-        OBS_COUNTER_INC("cluster.read.replica_errors");
-        continue;
-      }
-      auto row = engines[idx]->Get(partition, clustering);
-      if (!row.ok() && !row.status().IsNotFound()) {
-        // Corruption: replica-local failure, no vote, fail over.
-        OBS_COUNTER_INC("cluster.read.replica_errors");
-        continue;
-      }
-      if (votes > 0) {
-        ChargeRtt(1);  // extra replica hop under QUORUM
-      }
-      ++votes;
-      contacted.push_back(idx);
-      if (row.ok()) {
-        merged.MergeNewer(*row);
-        found = true;
-      }
-    }
-    if (votes < ask) {
-      OBS_COUNTER_INC("cluster.read.unavailable");
-      return Status::Unavailable("quorum read got " + std::to_string(votes) + "/" +
-                                 std::to_string(ask) + " votes");
-    }
-    if (found &&
-        RepairContacted(table, replicas, engines, contacted, partition, clustering, merged) < ask) {
-      OBS_COUNTER_INC("cluster.read.unavailable");
-      return Status::Unavailable("read repair could not restore a quorum");
-    }
-  } else {
-    const Status s = ReadOne(table, replicas, engines, [&](StorageEngine* engine) {
-      auto row = engine->Get(partition, clustering);
-      if (row.ok()) {
-        merged = std::move(*row);
-        found = true;
-      }
-      return row.status();
-    });
-    if (!s.ok() && !s.IsNotFound()) {
-      return s;
-    }
+  std::vector<size_t> contacted;
+  const Status s = ReadReplicas(
+      table, rs,
+      [&](StorageEngine* engine) {
+        auto row = engine->Get(partition, clustering);
+        if (row.ok()) {
+          if (found) {
+            merged.MergeNewer(*row);
+          } else {
+            merged = std::move(*row);
+          }
+          found = true;
+        }
+        return row.status();
+      },
+      &contacted);
+  if (!s.ok() && !s.IsNotFound()) {
+    return s;
+  }
+  if (found &&
+      RepairContacted(table, rs, contacted, partition, clustering, merged) < contacted.size()) {
+    OBS_COUNTER_INC("cluster.read.unavailable");
+    return Status::Unavailable("read repair could not restore a quorum");
   }
   if (!found) {
     return Status::NotFound();
@@ -1806,79 +1756,47 @@ Result<std::pair<std::string, Row>> Cluster::ReadFloorInternal(std::string_view 
                                                                std::string_view partition,
                                                                std::string_view clustering) {
   stats_.reads.fetch_add(1, std::memory_order_relaxed);
-  std::vector<StorageEngine*> engines;
-  MC_ASSIGN_OR_RETURN(std::vector<Node*> replicas, ReplicasFor(table, partition, &engines));
-  (void)replicas;
+  MC_ASSIGN_OR_RETURN(const ReplicaSet rs, ResolveReplicas(table, partition));
   ChargeRtt(1);
 
   std::string floor_id;
   Row merged;
-  if (options_.consistency == Consistency::kQuorum) {
-    // Per-replica floors can disagree when a replica missed the insert of a
-    // newer pack (it still holds a hint): take the largest floor across a
-    // quorum, merge that row across the contacted replicas, and read-repair
-    // the stale ones — a floor that silently fell back to an older pack
-    // would route the client to stale data.
-    FaultInjector* fi = options_.fault_injector;
-    const size_t ask = engines.size() / 2 + 1;
-    const std::vector<size_t> live = LiveIndexes(replicas);
-    size_t votes = 0;
-    std::vector<size_t> contacted;
-    bool found = false;
-    for (size_t idx : live) {
-      if (votes == ask) {
-        break;
-      }
-      if (fi != nullptr && fi->Fire(FaultPoint::kMediaReadError, table)) {
-        OBS_COUNTER_INC("cluster.read.replica_errors");
-        continue;
-      }
-      auto result = engines[idx]->Floor(partition, clustering);
-      if (!result.ok() && !result.status().IsNotFound()) {
-        // Corruption: replica-local failure, no vote, fail over.
-        OBS_COUNTER_INC("cluster.read.replica_errors");
-        continue;
-      }
-      if (votes > 0) {
-        ChargeRtt(1);  // extra replica hop under QUORUM
-      }
-      ++votes;
-      contacted.push_back(idx);
-      if (result.ok() && (!found || result->first > floor_id)) {
-        floor_id = result->first;
-        found = true;
-      }
-    }
-    if (votes < ask) {
-      OBS_COUNTER_INC("cluster.read.unavailable");
-      return Status::Unavailable("quorum floor read got " + std::to_string(votes) + "/" +
-                                 std::to_string(ask) + " votes");
-    }
-    if (!found) {
-      return Status::NotFound();
-    }
+  bool found = false;
+  std::vector<size_t> contacted;
+  MC_RETURN_IF_ERROR(ReadReplicas(
+      table, rs,
+      [&](StorageEngine* engine) {
+        auto result = engine->Floor(partition, clustering);
+        if (result.ok() && (!found || result->first > floor_id)) {
+          floor_id = std::move(result->first);
+          merged = std::move(result->second);
+          found = true;
+        }
+        return result.status();
+      },
+      &contacted));  // CL=ONE: NotFound propagates as NotFound
+  if (!found) {
+    return Status::NotFound();
+  }
+  if (!contacted.empty()) {
+    // QUORUM: per-replica floors can disagree when a replica missed the
+    // insert of a newer pack (it still holds a hint). Take the largest floor
+    // across the quorum, merge that row across the contacted replicas, and
+    // read-repair the stale ones — a floor that silently fell back to an
+    // older pack would route the client to stale data.
+    merged = Row{};
     for (size_t idx : contacted) {
-      auto row = engines[idx]->Get(partition, floor_id);
+      auto row = rs.natural_engines[idx]->Get(partition, floor_id);
       if (row.ok()) {
         merged.MergeNewer(*row);
       }
       // NotFound (stale replica) and Corruption both contribute nothing;
       // RepairContacted below restores them from the merged copy.
     }
-    if (RepairContacted(table, replicas, engines, contacted, partition, floor_id, merged) < ask) {
+    if (RepairContacted(table, rs, contacted, partition, floor_id, merged) < contacted.size()) {
       OBS_COUNTER_INC("cluster.read.unavailable");
       return Status::Unavailable("floor read repair could not restore a quorum");
     }
-  } else {
-    const Status s = ReadOne(table, replicas, engines, [&](StorageEngine* engine) {
-      auto result = engine->Floor(partition, clustering);
-      if (result.ok()) {
-        floor_id = result->first;
-        merged = std::move(result->second);
-      }
-      return result.status();
-    });
-    MC_RETURN_IF_ERROR(s);  // NotFound propagates as NotFound
   }
   return std::make_pair(std::move(floor_id), std::move(merged));
 }
@@ -1890,76 +1808,49 @@ Result<std::vector<std::pair<std::string, Row>>> Cluster::ReadRange(std::string_
                                                                     size_t limit) {
   OBS_SPAN("cluster.read_range");
   stats_.reads.fetch_add(1, std::memory_order_relaxed);
-  std::vector<StorageEngine*> engines;
-  MC_ASSIGN_OR_RETURN(std::vector<Node*> replicas, ReplicasFor(table, partition, &engines));
-  (void)replicas;
+  MC_ASSIGN_OR_RETURN(const ReplicaSet rs, ResolveReplicas(table, partition));
   ChargeRtt(1);
 
+  // QUORUM unions the contacted scans, merging rows per clustering key, then
+  // read-repairs the contacted replicas so everything returned is durable on
+  // a quorum (same rationale as Read/ReadFloor). CL=ONE returns one
+  // replica's scan as is.
+  const bool quorum = options_.consistency == Consistency::kQuorum;
   std::vector<std::pair<std::string, Row>> out;
-  if (options_.consistency == Consistency::kQuorum) {
-    // Union the scans of a quorum, merging rows per clustering key, then
-    // read-repair the contacted replicas so everything returned is durable
-    // on a quorum (same rationale as Read/ReadFloor).
-    FaultInjector* fi = options_.fault_injector;
-    const size_t ask = engines.size() / 2 + 1;
-    const std::vector<size_t> live = LiveIndexes(replicas);
-    size_t votes = 0;
-    std::vector<size_t> contacted;
-    std::map<std::string, Row> merged;
-    for (size_t idx : live) {
-      if (votes == ask) {
-        break;
-      }
-      if (fi != nullptr && fi->Fire(FaultPoint::kMediaReadError, table)) {
-        OBS_COUNTER_INC("cluster.read.replica_errors");
-        continue;
-      }
-      const Status s =
-          engines[idx]->Scan(partition, lo, hi, limit, [&](std::string_view c, const Row& row) {
+  std::map<std::string, Row> merged;
+  std::vector<size_t> contacted;
+  MC_RETURN_IF_ERROR(ReadReplicas(
+      table, rs,
+      [&](StorageEngine* engine) {
+        if (quorum) {
+          // A scan that fails midway gives no answer, but the rows it merged
+          // are still valid LWW inputs.
+          return engine->Scan(partition, lo, hi, limit, [&](std::string_view c, const Row& row) {
             merged[std::string(c)].MergeNewer(row);
             return true;
           });
-      if (!s.ok()) {
-        // Media error or Corruption mid-scan: the replica contributes no
-        // vote (partial rows it merged are still valid LWW inputs).
-        OBS_COUNTER_INC("cluster.read.replica_errors");
-        continue;
-      }
-      if (votes > 0) {
-        ChargeRtt(1);  // extra replica hop under QUORUM
-      }
-      ++votes;
-      contacted.push_back(idx);
-    }
-    if (votes < ask) {
+        }
+        std::vector<std::pair<std::string, Row>> rows;
+        const Status scan = engine->Scan(
+            partition, lo, hi, limit, [&](std::string_view clustering, const Row& row) {
+              rows.emplace_back(std::string(clustering), row);
+              return true;
+            });
+        if (scan.ok()) {
+          out = std::move(rows);
+        }
+        return scan;
+      },
+      &contacted));
+  for (auto& [clustering, row] : merged) {
+    if (RepairContacted(table, rs, contacted, partition, clustering, row) < contacted.size()) {
       OBS_COUNTER_INC("cluster.read.unavailable");
-      return Status::Unavailable("quorum range read got " + std::to_string(votes) + "/" +
-                                 std::to_string(ask) + " votes");
+      return Status::Unavailable("range read repair could not restore a quorum");
     }
-    for (auto& [clustering, row] : merged) {
-      if (RepairContacted(table, replicas, engines, contacted, partition, clustering, row) < ask) {
-        OBS_COUNTER_INC("cluster.read.unavailable");
-        return Status::Unavailable("range read repair could not restore a quorum");
-      }
-      out.emplace_back(clustering, std::move(row));
-      if (limit != 0 && out.size() == limit) {
-        break;
-      }
+    out.emplace_back(clustering, std::move(row));
+    if (limit != 0 && out.size() == limit) {
+      break;
     }
-  } else {
-    const Status s = ReadOne(table, replicas, engines, [&](StorageEngine* engine) {
-      std::vector<std::pair<std::string, Row>> rows;
-      const Status scan = engine->Scan(
-          partition, lo, hi, limit, [&](std::string_view clustering, const Row& row) {
-            rows.emplace_back(std::string(clustering), row);
-            return true;
-          });
-      if (scan.ok()) {
-        out = std::move(rows);
-      }
-      return scan;
-    });
-    MC_RETURN_IF_ERROR(s);
   }
   size_t bytes = 0;
   for (const auto& [clustering, row] : out) {
@@ -1973,19 +1864,7 @@ Result<std::vector<std::pair<std::string, Row>>> Cluster::ReadRange(std::string_
 }
 
 Status Cluster::DeletePartition(std::string_view table, std::string_view partition) {
-  stats_.writes.fetch_add(1, std::memory_order_relaxed);
-  MC_ASSIGN_OR_RETURN(ReplicaSet rs, ResolveReplicas(table, partition));
-  ChargeRtt(1);
-  const uint64_t ts = NextTimestamp();
-  for (int attempt = 0;; ++attempt) {
-    const Status s = ApplyToReplicas(table, rs, partition, "", Row{},
-                                     RequiredAcks(rs.natural_engines.size()), ts);
-    if (!IsTopologyAbort(s) || attempt >= 3) {
-      return s;
-    }
-    OBS_COUNTER_INC("ring.topology_retries");
-    MC_ASSIGN_OR_RETURN(rs, ResolveReplicas(table, partition));
-  }
+  return DeleteRow(table, partition, "", {std::string(kPartitionTombstoneColumn)});
 }
 
 Status Cluster::DeleteRow(std::string_view table, std::string_view partition,
@@ -1998,15 +1877,7 @@ Status Cluster::DeleteRow(std::string_view table, std::string_view partition,
   for (const auto& column : columns) {
     tombstones.cells[column] = Cell{"", ts, true};
   }
-  for (int attempt = 0;; ++attempt) {
-    const Status s = ApplyToReplicas(table, rs, partition, clustering, tombstones,
-                                     RequiredAcks(rs.natural_engines.size()));
-    if (!IsTopologyAbort(s) || attempt >= 3) {
-      return s;
-    }
-    OBS_COUNTER_INC("ring.topology_retries");
-    MC_ASSIGN_OR_RETURN(rs, ResolveReplicas(table, partition));
-  }
+  return ApplyWithTopologyRetry(table, std::move(rs), partition, clustering, tombstones);
 }
 
 size_t Cluster::TableAtRestBytes(std::string_view table) {
@@ -2089,105 +1960,98 @@ void SetAsyncGauges(const Executor* pool) {
   OBS_GAUGE_SET("cluster.async.inflight", static_cast<int64_t>(pool->InFlight()));
 }
 
-}  // namespace
-
-void Cluster::AsyncMutate(std::string_view table, std::string_view partition,
-                          std::string_view clustering, const Row& update, WriteCallback done) {
-  Executor* pool = EnsureAsyncPool();
+// Body of the callback Async* entry points: runs `op` on the async pool and
+// hands its result to `done`, or calls `done` inline with Unavailable when
+// the bounded queue is full.
+template <typename R>
+void SubmitAsync(Executor* pool, std::function<R()> op, std::function<void(R)> done) {
   // The callback lives in a shared_ptr so a rejected TrySubmit (which
   // destroys the task lambda) cannot destroy it before we invoke it.
-  auto cb = std::make_shared<WriteCallback>(std::move(done));
+  auto cb = std::make_shared<std::function<void(R)>>(std::move(done));
   OBS_COUNTER_INC("cluster.async.submitted");
-  const bool admitted = pool->TrySubmit([this, pool, cb, table = std::string(table),
-                                         partition = std::string(partition),
-                                         clustering = std::string(clustering), update]() {
-    Status s = Write(table, partition, clustering, update);
+  const bool admitted = pool->TrySubmit([pool, cb, op = std::move(op)]() {
+    R result = op();
     OBS_COUNTER_INC("cluster.async.completed");
     SetAsyncGauges(pool);
-    (*cb)(std::move(s));
+    (*cb)(std::move(result));
   });
   SetAsyncGauges(pool);
   if (!admitted) {
     OBS_COUNTER_INC("cluster.async.rejected");
     (*cb)(Status::Unavailable("async pipeline at capacity"));
   }
+}
+
+// Body of the future overloads: starts the callback entry point through
+// `submit` with a callback that fulfils the returned future.
+template <typename R, typename Submit>
+std::future<R> ViaPromise(Submit submit) {
+  auto promise = std::make_shared<std::promise<R>>();
+  std::future<R> future = promise->get_future();
+  submit([promise](R r) { promise->set_value(std::move(r)); });
+  return future;
+}
+
+}  // namespace
+
+void Cluster::AsyncMutate(std::string_view table, std::string_view partition,
+                          std::string_view clustering, const Row& update, WriteCallback done) {
+  SubmitAsync<Status>(
+      EnsureAsyncPool(),
+      [this, table = std::string(table), partition = std::string(partition),
+       clustering = std::string(clustering), update]() {
+        return Write(table, partition, clustering, update);
+      },
+      std::move(done));
 }
 
 void Cluster::AsyncReadFloorCell(std::string_view table, std::string_view partition,
                                  std::string_view clustering, std::string_view column,
                                  ReadFloorCellCallback done) {
-  Executor* pool = EnsureAsyncPool();
-  auto cb = std::make_shared<ReadFloorCellCallback>(std::move(done));
-  OBS_COUNTER_INC("cluster.async.submitted");
-  const bool admitted = pool->TrySubmit([this, pool, cb, table = std::string(table),
-                                         partition = std::string(partition),
-                                         clustering = std::string(clustering),
-                                         column = std::string(column)]() {
-    auto result = ReadFloorCell(table, partition, clustering, column);
-    OBS_COUNTER_INC("cluster.async.completed");
-    SetAsyncGauges(pool);
-    (*cb)(std::move(result));
-  });
-  SetAsyncGauges(pool);
-  if (!admitted) {
-    OBS_COUNTER_INC("cluster.async.rejected");
-    (*cb)(Status::Unavailable("async pipeline at capacity"));
-  }
+  SubmitAsync<Result<std::pair<std::string, std::string>>>(
+      EnsureAsyncPool(),
+      [this, table = std::string(table), partition = std::string(partition),
+       clustering = std::string(clustering), column = std::string(column)]() {
+        return ReadFloorCell(table, partition, clustering, column);
+      },
+      std::move(done));
 }
 
 void Cluster::AsyncGetRange(std::string_view table, std::string_view partition,
                             std::string_view lo, std::string_view hi, size_t limit,
                             GetRangeCallback done) {
-  Executor* pool = EnsureAsyncPool();
-  auto cb = std::make_shared<GetRangeCallback>(std::move(done));
-  OBS_COUNTER_INC("cluster.async.submitted");
-  const bool admitted = pool->TrySubmit([this, pool, cb, table = std::string(table),
-                                         partition = std::string(partition),
-                                         lo = std::string(lo), hi = std::string(hi), limit]() {
-    auto result = ReadRange(table, partition, lo, hi, limit);
-    OBS_COUNTER_INC("cluster.async.completed");
-    SetAsyncGauges(pool);
-    (*cb)(std::move(result));
-  });
-  SetAsyncGauges(pool);
-  if (!admitted) {
-    OBS_COUNTER_INC("cluster.async.rejected");
-    (*cb)(Status::Unavailable("async pipeline at capacity"));
-  }
+  SubmitAsync<Result<std::vector<std::pair<std::string, Row>>>>(
+      EnsureAsyncPool(),
+      [this, table = std::string(table), partition = std::string(partition),
+       lo = std::string(lo), hi = std::string(hi), limit]() {
+        return ReadRange(table, partition, lo, hi, limit);
+      },
+      std::move(done));
 }
 
 std::future<Status> Cluster::AsyncMutate(std::string_view table, std::string_view partition,
                                          std::string_view clustering, const Row& update) {
-  auto promise = std::make_shared<std::promise<Status>>();
-  std::future<Status> future = promise->get_future();
-  AsyncMutate(table, partition, clustering, update,
-              [promise](Status s) { promise->set_value(std::move(s)); });
-  return future;
+  return ViaPromise<Status>([&](WriteCallback done) {
+    AsyncMutate(table, partition, clustering, update, std::move(done));
+  });
 }
 
 std::future<Result<std::pair<std::string, std::string>>> Cluster::AsyncReadFloorCell(
     std::string_view table, std::string_view partition, std::string_view clustering,
     std::string_view column) {
-  auto promise = std::make_shared<std::promise<Result<std::pair<std::string, std::string>>>>();
-  auto future = promise->get_future();
-  AsyncReadFloorCell(table, partition, clustering, column,
-                     [promise](Result<std::pair<std::string, std::string>> r) {
-                       promise->set_value(std::move(r));
-                     });
-  return future;
+  return ViaPromise<Result<std::pair<std::string, std::string>>>(
+      [&](ReadFloorCellCallback done) {
+        AsyncReadFloorCell(table, partition, clustering, column, std::move(done));
+      });
 }
 
 std::future<Result<std::vector<std::pair<std::string, Row>>>> Cluster::AsyncGetRange(
     std::string_view table, std::string_view partition, std::string_view lo,
     std::string_view hi, size_t limit) {
-  auto promise =
-      std::make_shared<std::promise<Result<std::vector<std::pair<std::string, Row>>>>>();
-  auto future = promise->get_future();
-  AsyncGetRange(table, partition, lo, hi, limit,
-                [promise](Result<std::vector<std::pair<std::string, Row>>> r) {
-                  promise->set_value(std::move(r));
-                });
-  return future;
+  return ViaPromise<Result<std::vector<std::pair<std::string, Row>>>>(
+      [&](GetRangeCallback done) {
+        AsyncGetRange(table, partition, lo, hi, limit, std::move(done));
+      });
 }
 
 void Cluster::ResetPerfCounters() {

@@ -56,11 +56,12 @@ struct ClusterOptions {
   int node_count = 3;
   int replication_factor = 3;
   Consistency consistency = Consistency::kOne;
-  int vnodes = 16;
 
   // Network model (all scaled by latency_scale).
   uint64_t rtt_micros = 300;          // client <-> coordinator round trip
-  uint64_t replica_hop_micros = 150;  // coordinator <-> replica (when remote)
+  // Coordinator <-> replica hop. Nothing charges it: each extra replica of a
+  // QUORUM read costs a full rtt_micros.
+  uint64_t replica_hop_micros = 150;
   int lwt_extra_round_trips = 3;      // Paxos prepare/propose/commit overhead
   double network_bytes_per_micro = 120.0;  // ~120 MB/s client link
   double latency_scale = 1.0;
@@ -191,8 +192,9 @@ class Cluster {
                                                              std::string_view hi,
                                                              size_t limit = 0);
 
-  // Deletes a whole partition (one tombstone marker; models Cassandra's
-  // partition delete used for APPEND-mode epoch drops).
+  // Deletes a whole partition: a DeleteRow of the kPartitionTombstoneColumn
+  // marker on the empty clustering key (row.h; models Cassandra's partition
+  // delete used for APPEND-mode epoch drops).
   Status DeletePartition(std::string_view table, std::string_view partition);
 
   // Deletes the named cells of one row (tombstones).
@@ -402,9 +404,6 @@ class Cluster {
 
   Result<ReplicaSet> ResolveReplicas(std::string_view table, std::string_view partition);
 
-  Result<std::vector<Node*>> ReplicasFor(std::string_view table, std::string_view partition,
-                                         std::vector<StorageEngine*>* engines);
-
   // nodes_ accessors that take ring_mu_ shared (the vector grows under the
   // exclusive lock during bootstrap; holding either ring_mu_ or down_mu_
   // makes reads safe — growth holds both).
@@ -440,22 +439,32 @@ class Cluster {
   void SetInflight(const std::optional<TopologyOp>& op);
   void UpdateServingGauge();
 
-  // Indexes into `replicas` whose node is currently up. Caller holds down_mu_.
-  std::vector<size_t> LiveIndexesLocked(const std::vector<Node*>& replicas) const;
-
-  // Same, taking the lock (snapshot; a node may flap right after).
+  // Indexes into `replicas` whose node is currently up (a snapshot; a node
+  // may flap right after).
   std::vector<size_t> LiveIndexes(const std::vector<Node*>& replicas) const;
 
-  // CL=ONE read driver: round-robin among the partition's live replicas
-  // (models Cassandra's load-balancing snitch; writes go to all replicas
-  // synchronously, so any replica is up to date), failing over past injected
-  // media read errors AND replicas that answer Corruption. `op` runs the
-  // actual engine read and returns its status; ok/NotFound both count as
-  // served. Unavailable when no live replica can serve; the last Corruption
-  // when every replica's copy is bad — never corrupt data.
-  Status ReadOne(std::string_view table, const std::vector<Node*>& replicas,
-                 const std::vector<StorageEngine*>& engines,
-                 const std::function<Status(StorageEngine*)>& op);
+  // The replica-read driver of Read, ReadFloor* and ReadRange, over the
+  // natural replicas of `rs`. `op` runs the engine read on one replica and
+  // returns its status: ok and NotFound are answers; an injected media read
+  // error or any other status (Corruption, a scan cut short) is a
+  // replica-local failure that fails over to the next live replica, so a bad
+  // block never reaches the client as data.
+  //
+  // CL=ONE starts at the round-robin choice among the live replicas (models
+  // Cassandra's load-balancing snitch) and returns the first answer's status,
+  // or the last failure when no replica answers (Unavailable when none is
+  // live). A write returns on its first ack while its other legs finish in
+  // the background, so that replica may not hold the caller's last write
+  // yet: CL=ONE does not promise read-your-writes.
+  //
+  // QUORUM walks the live replicas in ring order until a quorum has
+  // answered, charging one RTT for each answer after the first, and appends
+  // the replicas that answered to `contacted` for the caller to merge and
+  // read-repair; Unavailable when fewer answer. `contacted` stays empty at
+  // CL=ONE, which repairs nothing.
+  Status ReadReplicas(std::string_view table, const ReplicaSet& rs,
+                      const std::function<Status(StorageEngine*)>& op,
+                      std::vector<size_t>* contacted);
 
   // True when `node` is in the partition's replica set.
   bool NodeReplicates(int node, std::string_view partition) const;
@@ -469,7 +478,6 @@ class Cluster {
   // Applies `update` to every live replica engine; queues hints for down or
   // failing ones. Unavailable (with hints already queued — the classic
   // ambiguous write) when fewer than `required_acks` replicas persisted it.
-  // `engines` and `replicas` are parallel arrays from ReplicasFor.
   //
   // Two-phase fan-out: phase 1 (under down_mu_, in replica order) resolves
   // down-ness and draws the coordinator fault points, producing a per-replica
@@ -478,9 +486,6 @@ class Cluster {
   // required_acks'th ack; stragglers complete in the background (Quiesce
   // waits for them).
   //
-  // partition_tombstone_ts != 0 turns the write into a whole-partition
-  // tombstone (DeletePartition); that path skips the per-replica coordinator
-  // fault points, preserving the historical fault-ordinal stream.
   // `required_acks` is the natural-set requirement; when the resolution
   // carries pending endpoints the effective requirement becomes
   // required_acks + |pending| with acks counted from all legs (Cassandra's
@@ -489,11 +494,17 @@ class Cluster {
   // rs.epoch is stale — callers re-resolve and retry.
   Status ApplyToReplicas(std::string_view table, const ReplicaSet& rs,
                          std::string_view partition, std::string_view clustering,
-                         const Row& stamped, size_t required_acks,
-                         uint64_t partition_tombstone_ts = 0);
+                         const Row& stamped, size_t required_acks);
 
-  // Runs replica leg `i` of a fan-out: injected delay, the engine apply (or
-  // partition tombstone), hint queueing on failure, ack bookkeeping.
+  // ApplyToReplicas at the plain-write consistency level (Write, DeleteRow),
+  // re-resolving `rs` and retrying up to three times when an ownership flip
+  // aborts the apply.
+  Status ApplyWithTopologyRetry(std::string_view table, ReplicaSet rs,
+                                std::string_view partition, std::string_view clustering,
+                                const Row& stamped);
+
+  // Runs replica leg `i` of a fan-out: injected delay, the engine apply,
+  // hint queueing on failure, ack bookkeeping.
   void RunReplicaLeg(const std::shared_ptr<ReplicaFanout>& fanout, size_t i);
 
   // Marks one background leg finished and wakes Quiesce.
@@ -503,15 +514,14 @@ class Cluster {
   Executor* EnsureAsyncPool();
 
   // Blocking read repair (Cassandra's monotonic quorum reads, standing in
-  // for its Paxos round repair): writes `merged` back to each replica in
-  // `contacted` holding an older or missing copy, queueing a hint when the
+  // for its Paxos round repair): writes `merged` back to each natural replica
+  // in `contacted` holding an older or missing copy, queueing a hint when the
   // apply fails. Returns how many contacted replicas end up holding the
   // merged row. Quorum reads must leave every row they return durable on a
   // quorum before answering — otherwise a client verifying an ambiguous LWT
   // could ack state seen on a single replica, which a later writer reading a
   // disjoint quorum would silently overwrite.
-  size_t RepairContacted(std::string_view table, const std::vector<Node*>& replicas,
-                         const std::vector<StorageEngine*>& engines,
+  size_t RepairContacted(std::string_view table, const ReplicaSet& rs,
                          const std::vector<size_t>& contacted, std::string_view partition,
                          std::string_view clustering, const Row& merged);
 
@@ -562,9 +572,6 @@ class Cluster {
     std::string partition;
     std::string clustering;
     Row update;  // cells already timestamped
-    // Nonzero: this hint is a whole-partition tombstone at this timestamp
-    // (clustering/update unused).
-    uint64_t partition_tombstone_ts = 0;
   };
   mutable std::mutex down_mu_;
   std::vector<bool> node_down_;

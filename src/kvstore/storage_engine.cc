@@ -22,12 +22,6 @@ Status StorageEngine::Apply(std::string_view partition, std::string_view cluster
   return ApplyInternal(EncodeRowKey(partition, clustering), update);
 }
 
-Status StorageEngine::ApplyPartitionTombstone(std::string_view partition, uint64_t timestamp) {
-  Row marker;
-  marker.cells[std::string(kPartitionTombstoneColumn)] = Cell{"", timestamp, true};
-  return ApplyInternal(EncodeRowKey(partition, ""), marker);
-}
-
 Status StorageEngine::ApplyEncoded(std::string_view encoded_key, const Row& row) {
   return ApplyInternal(encoded_key, row);
 }

@@ -89,9 +89,6 @@ class StorageEngine {
   // Applies a cell update (LWW) to (partition, clustering).
   Status Apply(std::string_view partition, std::string_view clustering, const Row& update);
 
-  // Marks every cell of the partition older than `timestamp` deleted.
-  Status ApplyPartitionTombstone(std::string_view partition, uint64_t timestamp);
-
   // Applies a row at an already-encoded key, cells already timestamped. Used
   // by scrub/anti-entropy streaming, where rows arrive in at-rest form; LWW
   // merge makes re-application idempotent.

@@ -24,6 +24,13 @@ class ClusterTest : public ::testing::Test {
     ClusterOptions o = ClusterOptions::ForTest();
     o.node_count = 3;
     o.replication_factor = 3;
+    // These tests read back right after writing at CL=ONE. With concurrent
+    // fan-out a write returns on its first ack while its other legs still
+    // run, so the read can reach a replica that has not applied it yet:
+    // CL=ONE promises no read-your-writes. Synchronous fan-out applies every
+    // leg before the write returns; async_cluster_test and replication_test
+    // cover the concurrent path.
+    o.replica_fanout_threads = 0;
     return o;
   }
 

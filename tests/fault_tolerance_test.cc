@@ -524,6 +524,10 @@ TEST(AntiEntropy, RepairPropagatesTombstonesNotJustLiveRows) {
   Row tomb;
   tomb.cells["v"] = Cell{"", 0, true};
   ASSERT_TRUE(cluster.Write("t", "p", EncodeKey64(1), tomb).ok());
+  // Land the tombstone's background legs first: a leg to node 0 still in
+  // flight at the crash would divert to a hint, and RestartNode's hint replay
+  // would then deliver the tombstone instead of leaving the row resurrected.
+  cluster.Quiesce();
   // Node 0 loses the (unsynced, memtable-only) tombstone in a crash.
   ASSERT_TRUE(cluster.CrashNode(0).ok());
   ASSERT_TRUE(cluster.RestartNode(0).ok());

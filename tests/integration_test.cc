@@ -79,6 +79,10 @@ TEST(Integration, AppendPipelineEndToEndOnTimeSeries) {
 
   EmService em(&cluster, options, "em", &clock);
   ASSERT_TRUE(em.Bootstrap().ok());
+  // Bootstrap's g_epoch LWT returns once a quorum holds the row; the CL=ONE
+  // reads in Tick and Register may reach the third replica, so land its leg
+  // first.
+  cluster.Quiesce();
   ASSERT_TRUE(em.Tick().ok());
   AppendClient writer(&cluster, options, key, "w1", &clock);
   ASSERT_TRUE(writer.Register().ok());

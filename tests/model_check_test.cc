@@ -18,6 +18,7 @@
 #include <map>
 #include <memory>
 #include <optional>
+#include <sstream>
 #include <string>
 #include <thread>
 #include <vector>
@@ -28,6 +29,7 @@
 #include "src/core/generic_client.h"
 #include "src/crypto/crypto.h"
 #include "src/index/secondary_index.h"
+#include "src/kvstore/bloom.h"
 #include "src/kvstore/fault_injector.h"
 #include "src/obs/metrics.h"
 
@@ -1787,11 +1789,20 @@ TEST(ModelCheckChaos, ThirtyTwoNodeDecommissionUnderLoadHoldsInvariants) {
 // With `with_rotation`, a key rotation runs mid-sequence: its kRotatePersist /
 // kRotateReseal draws join the schedule, its bounded resume loop must replay
 // identically, and the final keyring window + durable rotation record join
-// the state fingerprint.
+// the state fingerprint. `settings` picks the coordinator's consistency
+// level and modeled latency; the final virtual clock joins the state, so two
+// runs agree only if they charged the same latency.
+struct ReplaySettings {
+  Consistency consistency = Consistency::kQuorum;  // ChaosClusterOptions' level
+  uint64_t rtt_micros = 0;
+  int lwt_extra_round_trips = 0;
+};
+
 std::pair<std::string, std::string> RunSingleThreadedChaos(uint64_t seed, int ops,
                                                            bool with_topology = false,
                                                            bool with_index = false,
-                                                           bool with_rotation = false) {
+                                                           bool with_rotation = false,
+                                                           const ReplaySettings& settings = {}) {
   SimulatedClock clock;
   FaultInjector injector(seed);
   injector.set_record_schedule(true);
@@ -1818,6 +1829,9 @@ std::pair<std::string, std::string> RunSingleThreadedChaos(uint64_t seed, int op
   }
 
   ClusterOptions copts = ChaosClusterOptions(&clock, &injector);
+  copts.consistency = settings.consistency;
+  copts.rtt_micros = settings.rtt_micros;
+  copts.lwt_extra_round_trips = settings.lwt_extra_round_trips;
   // Seed-exact replay needs a deterministic fault-ordinal stream. Concurrent
   // replica legs claim engine-level ordinals (kCommitLogAppend, kMediaLatency)
   // in thread-scheduling order, so this test — and only this test — pins the
@@ -1924,6 +1938,7 @@ std::pair<std::string, std::string> RunSingleThreadedChaos(uint64_t seed, int op
                           : "!") +
              ";";
   }
+  state += "T" + std::to_string(clock.NowMicros());
   return {injector.ScheduleString(), state};
 }
 
@@ -1977,6 +1992,73 @@ TEST(ModelCheckChaos, SameSeedReplaysRotationScheduleAndState) {
   EXPECT_EQ(first.first.find("rotate_reseal:;"), std::string::npos);
   EXPECT_NE(first.second.find("K1/1/0.1;"), std::string::npos)
       << "fingerprint does not show a completed rotation to epoch 1: " << first.second;
+}
+
+// Pins the coordinator's observable behaviour across commits, not just
+// within one process: the four seed/flag combinations above run under four
+// coordinator settings, and the FNV-1a digests of each fault schedule and
+// final state (final virtual clock included) must equal the values recorded
+// when this test was written. A refactor of the data path that keeps every
+// engine call, fault draw and latency charge in the same order passes
+// unchanged. A change that means to alter fault draws or latency charges
+// re-records the constants (the failure message prints the new digests) and
+// says why in its change notes: a silent re-record would hide exactly the
+// drift this test exists to catch.
+TEST(ModelCheckChaos, ReplayFingerprintsMatchAcrossCommits) {
+  struct Combination {
+    uint64_t seed;
+    bool with_topology;
+    bool with_index;
+    bool with_rotation;
+  };
+  const Combination combinations[] = {{0xD5EED, false, false, false},
+                                      {0x70D05EEDULL, true, false, false},
+                                      {0x1DE75EEDULL, false, true, false},
+                                      {0x407A7E5EEDULL, false, false, true}};
+  const ReplaySettings settings[] = {{Consistency::kQuorum, 0, 0},
+                                     {Consistency::kQuorum, 100, 3},
+                                     {Consistency::kOne, 0, 0},
+                                     {Consistency::kOne, 100, 3}};
+  // {schedule digest, state digest}, indexed [setting][combination].
+  constexpr uint64_t kRecorded[4][4][2] = {
+      // QUORUM, no RTT
+      {{0xd6714358d5ee5b20ULL, 0xf1564721b803d466ULL},
+       {0x6a554e245356bd54ULL, 0xbae85f344bf6500cULL},
+       {0xc2460b8054d3131dULL, 0x2953310428657509ULL},
+       {0x3eb07c847a0c0070ULL, 0x5cccae039d3f85b9ULL}},
+      // QUORUM, rtt_micros 100 + 3 LWT round trips
+      {{0xd6714358d5ee5b20ULL, 0x01f72996e811941fULL},
+       {0x6a554e245356bd54ULL, 0x4e7e9ee8bede1231ULL},
+       {0xc2460b8054d3131dULL, 0x2fe22d3923d6d6ecULL},
+       {0x3eb07c847a0c0070ULL, 0x19e4716f6c5c3f6aULL}},
+      // CL=ONE, no RTT
+      {{0x355f9929331d6c0bULL, 0xeb403f3beb9f4babULL},
+       {0xd264d1ff2298075eULL, 0xc3f10334512f28e6ULL},
+       {0xa612aadc4a23f38bULL, 0x4a49c6ea04442351ULL},
+       {0xc5c8e685c7de131cULL, 0xeccc87fad12d1a84ULL}},
+      // CL=ONE, rtt_micros 100 + 3 LWT round trips
+      {{0x355f9929331d6c0bULL, 0x9a4eb8be08bf8be4ULL},
+       {0xd264d1ff2298075eULL, 0xd5aa3040b9ab5366ULL},
+       {0xa612aadc4a23f38bULL, 0x5d96be6874c82964ULL},
+       {0xc5c8e685c7de131cULL, 0x96b495c4c1b899f9ULL}}
+  };
+  for (size_t s = 0; s < 4; ++s) {
+    for (size_t c = 0; c < 4; ++c) {
+      const Combination& combo = combinations[c];
+      const auto [schedule, state] =
+          RunSingleThreadedChaos(combo.seed, 160, combo.with_topology, combo.with_index,
+                                 combo.with_rotation, settings[s]);
+      const uint64_t got[2] = {Fnv1a64(schedule), Fnv1a64(state)};
+      std::ostringstream digests;
+      digests << std::hex << "{0x" << got[0] << "ULL, 0x" << got[1] << "ULL}";
+      EXPECT_EQ(got[0], kRecorded[s][c][0])
+          << "fault schedule drifted, setting " << s << " combination " << c << ": now "
+          << digests.str();
+      EXPECT_EQ(got[1], kRecorded[s][c][1])
+          << "final state drifted, setting " << s << " combination " << c << ": now "
+          << digests.str() << ", " << state.substr(state.rfind('T'));
+    }
+  }
 }
 
 }  // namespace

@@ -16,6 +16,13 @@ Row ValueRow(std::string value, uint64_t ts) {
   return row;
 }
 
+// The partition-delete marker row (row.h), written at the empty clustering key.
+Row PartitionTombstone(uint64_t ts) {
+  Row row;
+  row.cells[std::string(kPartitionTombstoneColumn)] = Cell{"", ts, true};
+  return row;
+}
+
 class StorageEngineTest : public ::testing::Test {
  protected:
   StorageEngineTest() : cache_(1 << 20) { Recreate(); }
@@ -187,7 +194,7 @@ TEST_F(StorageEngineTest, PartitionTombstoneHidesOlderData) {
     ASSERT_TRUE(engine_->Apply("epoch3", EncodeKey64(k), ValueRow("old", ++ts_)).ok());
   }
   ASSERT_TRUE(engine_->Flush().ok());
-  ASSERT_TRUE(engine_->ApplyPartitionTombstone("epoch3", ++ts_).ok());
+  ASSERT_TRUE(engine_->Apply("epoch3", "", PartitionTombstone(++ts_)).ok());
   for (uint64_t k = 0; k < 10; ++k) {
     EXPECT_FALSE(engine_->Get("epoch3", EncodeKey64(k)).ok());
   }
@@ -213,7 +220,7 @@ TEST_F(StorageEngineTest, PartitionTombstoneSurvivesFlushAndCompaction) {
     ASSERT_TRUE(engine_->Apply("e1", EncodeKey64(k), ValueRow("old", ++ts_)).ok());
   }
   ASSERT_TRUE(engine_->Flush().ok());
-  ASSERT_TRUE(engine_->ApplyPartitionTombstone("e1", ++ts_).ok());
+  ASSERT_TRUE(engine_->Apply("e1", "", PartitionTombstone(++ts_)).ok());
   ASSERT_TRUE(engine_->Flush().ok());  // triggers compaction at 2 tables
   for (uint64_t k = 0; k < 10; ++k) {
     EXPECT_FALSE(engine_->Get("e1", EncodeKey64(k)).ok());
