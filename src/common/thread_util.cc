@@ -4,6 +4,19 @@
 
 namespace minicrypt {
 
+void ReservationTimeline::Occupy(Clock* clock, uint64_t micros) {
+  uint64_t now = 0;
+  uint64_t end = 0;
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    now = clock->NowMicros();
+    auto slot = std::min_element(busy_until_.begin(), busy_until_.end());
+    end = std::max(now, *slot) + micros;
+    *slot = end;
+  }
+  clock->SleepMicros(end - now);
+}
+
 PeriodicTask::PeriodicTask(std::function<void()> fn, uint64_t period_micros)
     : fn_(std::move(fn)), period_micros_(period_micros), thread_([this] { Loop(); }) {}
 

@@ -1,10 +1,11 @@
-// Small threading helpers shared by the cluster simulation and the benchmark
-// driver: a counting semaphore with timeout (models device queue depth), a
+// Small threading helpers shared by the cluster simulation and the
+// benchmarks: reservation timelines (the modelled link and device queues), a
 // latch-style start barrier, and a periodic background task runner.
 
 #ifndef MINICRYPT_SRC_COMMON_THREAD_UTIL_H_
 #define MINICRYPT_SRC_COMMON_THREAD_UTIL_H_
 
+#include <algorithm>
 #include <atomic>
 #include <condition_variable>
 #include <cstdint>
@@ -13,45 +14,26 @@
 #include <thread>
 #include <vector>
 
+#include "src/common/clock.h"
+
 namespace minicrypt {
 
-// Counting semaphore. Used to bound outstanding requests at a simulated
-// storage device (disk queue depth 1, SSD queue depth ~32).
-class Semaphore {
+// A shared modelled resource (the client link, a device's queue slots) as
+// reservation timelines, one per slot. Occupy books the slot that frees
+// first for [max(now, busy_until), +micros) under a leaf mutex, then sleeps
+// to the end of that window with no lock held, so a sleeper's overshoot
+// never delays the next booking. Single-threaded, every window starts at
+// now and the sleep is exactly `micros`.
+class ReservationTimeline {
  public:
-  explicit Semaphore(int initial) : count_(initial) {}
+  explicit ReservationTimeline(int slots)
+      : busy_until_(static_cast<size_t>(std::max(slots, 1)), 0) {}
 
-  void Acquire() {
-    std::unique_lock<std::mutex> lock(mu_);
-    cv_.wait(lock, [&] { return count_ > 0; });
-    --count_;
-  }
-
-  void Release() {
-    {
-      std::lock_guard<std::mutex> lock(mu_);
-      ++count_;
-    }
-    cv_.notify_one();
-  }
+  void Occupy(Clock* clock, uint64_t micros);
 
  private:
   std::mutex mu_;
-  std::condition_variable cv_;
-  int count_;
-};
-
-// RAII semaphore hold.
-class SemaphoreGuard {
- public:
-  explicit SemaphoreGuard(Semaphore& sem) : sem_(sem) { sem_.Acquire(); }
-  ~SemaphoreGuard() { sem_.Release(); }
-
-  SemaphoreGuard(const SemaphoreGuard&) = delete;
-  SemaphoreGuard& operator=(const SemaphoreGuard&) = delete;
-
- private:
-  Semaphore& sem_;
+  std::vector<uint64_t> busy_until_;  // end of each slot's last window
 };
 
 // One-shot start barrier: worker threads Wait(), the coordinator Release()s

@@ -12,6 +12,8 @@
 #ifndef MINICRYPT_SRC_COMPRESS_COMPRESSOR_H_
 #define MINICRYPT_SRC_COMPRESS_COMPRESSOR_H_
 
+#include <cstdint>
+#include <functional>
 #include <memory>
 #include <string>
 #include <string_view>
@@ -33,6 +35,19 @@ class Compressor {
 
   // Inverse of Compress. Returns Corruption on malformed input.
   virtual Result<std::string> Decompress(std::string_view input) const = 0;
+
+  // Decompresses only as far as a point read needs: `enough` sees the whole
+  // output so far after each step and returns true to stop. The result is
+  // that output, a prefix of what Decompress returns, and `*full_size` gets
+  // the size of the whole. The default decodes the whole frame in one step;
+  // zlib, the default codec, streams.
+  virtual Result<std::string> DecompressPrefix(
+      std::string_view input, const std::function<bool(std::string_view)>& enough,
+      uint64_t* full_size) const {
+    MC_ASSIGN_OR_RETURN(std::string out, Decompress(input));
+    *full_size = out.size();
+    return out;
+  }
 };
 
 // Returns the codec registered under `name`, or nullptr. The returned pointer

@@ -15,6 +15,11 @@ class ZlibCompressor : public Compressor {
   std::string_view Name() const override { return name_; }
   Result<std::string> Compress(std::string_view input) const override;
   Result<std::string> Decompress(std::string_view input) const override;
+  // Inflates ~1 KB of input per step into an output buffer sized for the
+  // whole frame, asking `enough` after each step.
+  Result<std::string> DecompressPrefix(std::string_view input,
+                                       const std::function<bool(std::string_view)>& enough,
+                                       uint64_t* full_size) const override;
 
  private:
   int level_;

@@ -37,6 +37,15 @@ Status OutOfRetries(std::string_view what, Status s) {
   return Status::Unavailable(std::string(what) + " ran out of retries: " + s.message());
 }
 
+// `encoded_key`'s value in a fetched merged pack; NotFound when it lacks it.
+Result<std::string> FindInPack(const FetchedPack& fetched, std::string_view encoded_key) {
+  auto value = fetched.pack->Find(encoded_key);
+  if (!value.has_value()) {
+    return Status::NotFound();
+  }
+  return std::string(*value);
+}
+
 }  // namespace
 
 AppendClient::AppendClient(Cluster* cluster, const MiniCryptOptions& options,
@@ -134,11 +143,16 @@ Result<std::string> AppendClient::ProbeMergedPacks(std::string_view encoded_key)
   if (!fetched.ok()) {
     return fetched.status();
   }
-  auto value = fetched->pack->Find(encoded_key);
-  if (!value.has_value()) {
-    return Status::NotFound();
-  }
-  return std::string(*value);
+  return FindInPack(*fetched, encoded_key);
+}
+
+Result<std::string> AppendClient::ProbeMergedPacksAtQuorum(std::string_view encoded_key) {
+  const std::string partition = EpochPartition(kMergedEpoch);
+  MC_ASSIGN_OR_RETURN(auto floor, cluster_->ReadFloor(options_.table, partition, encoded_key,
+                                                      Consistency::kQuorum));
+  MC_ASSIGN_OR_RETURN(FetchedPack fetched,
+                      reader_.OpenRow(partition, std::move(floor.first), floor.second));
+  return FindInPack(fetched, encoded_key);
 }
 
 Result<std::string> AppendClient::Get(uint64_t key) {
@@ -196,8 +210,13 @@ Result<std::string> AppendClient::Get(uint64_t key) {
   }
 
   // Step 3: the key may have been merged between our probes — re-check
-  // epoch 0 once (§6.1.3).
-  return ProbeMergedPacks(encoded);
+  // epoch 0 once (§6.1.3), at QUORUM. A merged pack's LWT acks at two of
+  // three replicas, and once its epoch is MERGED the epoch before it, which
+  // may hold a lagging client's only raw copy of the key, can be dropped. A
+  // CL=ONE read (the floor, or the cache's version probe) can then reach the
+  // replica still missing the pack, as step 1 may have; a quorum always
+  // meets one of the LWT's.
+  return ProbeMergedPacksAtQuorum(encoded);
 }
 
 Result<std::vector<std::pair<uint64_t, std::string>>> AppendClient::GetRange(uint64_t low,

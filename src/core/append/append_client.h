@@ -95,6 +95,10 @@ class AppendClient {
   // (PackReader::FetchFloor) on the merged partition.
   Result<std::string> ProbeMergedPacks(std::string_view encoded_key);
 
+  // The same lookup as one QUORUM floor read, its row opened directly (a
+  // cached pack is reused only when its hash matches). Get's last step.
+  Result<std::string> ProbeMergedPacksAtQuorum(std::string_view encoded_key);
+
   Status SyncEpoch();
   Status SyncEpochOnce();
 

@@ -171,11 +171,15 @@ std::string GenericClient::StoredPackId(std::string_view partition, const Pack& 
 }
 
 Result<FetchedPack> GenericClient::FetchPackFor(std::string_view partition,
-                                                std::string_view encoded_key, bool allow_ttl) {
+                                                std::string_view encoded_key, bool allow_ttl,
+                                                bool point) {
   if (!packid_cipher_.has_value()) {
     // In OPE mode the floor runs on the (order-preserving) images, which is
-    // the whole point.
-    return reader_.FetchFloor(partition, StoredKeyFor(encoded_key), allow_ttl);
+    // the whole point; a point decode stops at the plaintext key the pack
+    // holds, never at its image.
+    return reader_.FetchFloor(partition, StoredKeyFor(encoded_key), allow_ttl,
+                              point ? std::optional<std::string_view>(encoded_key)
+                                    : std::nullopt);
   }
   // Direct lookup of the static bucket's PRF image (no order available).
   OBS_SPAN("pack.fetch");
@@ -186,11 +190,12 @@ Result<FetchedPack> GenericClient::FetchPackFor(std::string_view partition,
 }
 
 Result<FetchedPack> GenericClient::FetchWithRetries(std::string_view partition,
-                                                    std::string_view encoded_key, bool allow_ttl) {
+                                                    std::string_view encoded_key, bool allow_ttl,
+                                                    bool point) {
   auto fetch = [&](bool ttl) {
     return retry_.WhileUnavailable(
-        options_.max_put_retries, [&] { return FetchPackFor(partition, encoded_key, ttl); },
-        CountGetRetry);
+        options_.max_put_retries,
+        [&] { return FetchPackFor(partition, encoded_key, ttl, point); }, CountGetRetry);
   };
   auto fetched = fetch(allow_ttl);
   if (fetched.ok() && fetched->ttl_fresh && !fetched->pack->Find(encoded_key).has_value()) {
@@ -206,7 +211,7 @@ Result<std::string> GenericClient::Get(uint64_t key) {
   stats_.gets.fetch_add(1, std::memory_order_relaxed);
   const std::string encoded = EncodeKey64(key);
   const std::string partition = PartitionForKey(encoded, options_.hash_partitions);
-  auto fetched = FetchWithRetries(partition, encoded, /*allow_ttl=*/true);
+  auto fetched = FetchWithRetries(partition, encoded, /*allow_ttl=*/true, /*point=*/true);
   if (!fetched.ok()) {
     if (fetched.status().IsUnavailable()) {
       return Status::Unavailable("get ran out of retries: " + fetched.status().message() +

@@ -198,14 +198,15 @@ class GenericClient {
   // the cache-checked floor fetch (PackReader::FetchFloor; `allow_ttl` lets
   // a TTL-fresh entry answer), or in PRF-bucket mode a direct read of the
   // bucket's row. NotFound when the partition holds no pack at or below the
-  // key.
+  // key. `point` (Get only) lets a cacheless floor fetch decode the pack
+  // only through `encoded_key`; the caller then may only Find that key.
   Result<FetchedPack> FetchPackFor(std::string_view partition, std::string_view encoded_key,
-                                   bool allow_ttl);
+                                   bool allow_ttl, bool point = false);
 
   // FetchPackFor retried while Unavailable, as the read paths do. A
   // TTL-fresh pack lacking `encoded_key` is confirmed against the server.
   Result<FetchedPack> FetchWithRetries(std::string_view partition, std::string_view encoded_key,
-                                       bool allow_ttl);
+                                       bool allow_ttl, bool point = false);
 
   // One write attempt; sets *retry when the caller should loop. `applied`
   // answers "does this pack already reflect my mutation?" — consulted after

@@ -96,55 +96,64 @@ std::string Pack::Serialize() const {
   return out;
 }
 
-namespace {
-
-// Shared decode: slices `bytes` into (key, value) views. The caller decides
-// whether those views point at an adopted buffer (zero-copy) or get copied
-// into the arena.
-Result<std::vector<Pack::EntryView>> ParseEntries(std::string_view bytes) {
-  std::string_view in = bytes;
-  MC_ASSIGN_OR_RETURN(uint64_t n, GetVarint64(&in));
-  if (n > (1u << 24)) {
-    return Status::Corruption("pack declares absurd entry count");
+Result<bool> Pack::ParseEntries(std::string_view bytes, ParseState* state) {
+  std::string_view in = bytes.substr(state->pos);
+  if (state->pos == 0) {
+    auto n = GetVarint64(&in);
+    if (!n.ok()) {
+      return false;
+    }
+    if (*n > (1u << 24)) {
+      return Status::Corruption("pack declares absurd entry count");
+    }
+    state->count = *n;
+    // Every entry takes at least two bytes, so garbage cannot reserve more
+    // than its own size.
+    state->entries.reserve(std::min<uint64_t>(*n, bytes.size() / 2));
+    state->pos = bytes.size() - in.size();
   }
-  std::vector<Pack::EntryView> entries;
-  entries.reserve(n);
-  std::string_view prev;
-  for (uint64_t i = 0; i < n; ++i) {
-    MC_ASSIGN_OR_RETURN(std::string_view key, GetLengthPrefixed(&in));
-    MC_ASSIGN_OR_RETURN(std::string_view value, GetLengthPrefixed(&in));
-    if (i > 0 && prev >= key) {
+  while (state->entries.size() < state->count) {
+    auto key = GetLengthPrefixed(&in);
+    if (!key.ok()) {
+      return false;
+    }
+    auto value = GetLengthPrefixed(&in);
+    if (!value.ok()) {
+      return false;
+    }
+    if (!state->entries.empty() && state->entries.back().key >= *key) {
       return Status::Corruption("pack entries out of order");
     }
-    prev = key;
-    entries.push_back(Pack::EntryView{key, value});
+    state->entries.push_back(EntryView{*key, *value});
+    state->pos = bytes.size() - in.size();
+    if (state->stop.has_value() && *key >= *state->stop) {
+      return true;
+    }
   }
   if (!in.empty()) {
     return Status::Corruption("trailing bytes after pack entries");
   }
-  return entries;
+  return true;
 }
 
-}  // namespace
-
-Result<Pack> Pack::Deserialize(std::string_view bytes) {
-  MC_ASSIGN_OR_RETURN(std::vector<EntryView> parsed, ParseEntries(bytes));
-  Pack p;
-  p.arena_.Reserve(PayloadBytes(parsed));
-  p.entries_.reserve(parsed.size());
-  for (const EntryView& e : parsed) {
-    p.entries_.push_back(EntryView{p.arena_.Copy(e.key), p.arena_.Copy(e.value)});
-  }
-  return p;
-}
-
-Result<Pack> Pack::FromSerialized(std::string&& bytes) {
+Result<Pack> Pack::FromSerialized(std::string&& bytes, std::optional<std::string_view> stop) {
   Pack p;
   const std::string_view stable = p.arena_.Adopt(std::move(bytes));
   // Parse after adoption: the views below point into the arena-owned buffer,
   // never into a caller temporary.
-  MC_ASSIGN_OR_RETURN(p.entries_, ParseEntries(stable));
+  ParseState state;
+  state.stop = stop;
+  MC_ASSIGN_OR_RETURN(const bool done, ParseEntries(stable, &state));
+  if (!done) {
+    return Status::Corruption("pack entries truncated");
+  }
+  p.entries_ = std::move(state.entries);
   return p;
+}
+
+bool Pack::PointScan::Reached(std::string_view prefix) {
+  auto done = ParseEntries(prefix, &state_);
+  return !done.ok() || *done;
 }
 
 size_t Pack::LowerBound(std::string_view key) const {

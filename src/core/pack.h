@@ -3,11 +3,16 @@
 // server only ever sees its sealed envelope.
 //
 // Storage layout: entries are string_view slices over an internal arena
-// rather than per-entry heap strings. The hot decode path
-// (FromSerialized) adopts the decompressed buffer wholesale and points the
-// views straight into it — opening a pack allocates the entry index and
-// nothing else. Arena blocks have stable addresses, so views never dangle
-// across mutations; copying a Pack deep-copies into a fresh arena.
+// rather than per-entry heap strings. The decode (FromSerialized) adopts the
+// decompressed buffer wholesale and points the views straight into it —
+// opening a pack allocates the entry index and nothing else. Arena blocks
+// have stable addresses, so views never dangle across mutations; copying a
+// Pack deep-copies into a fresh arena.
+//
+// Point decode: entries serialize in key order, so a point read needs the
+// serialization only up to the first key >= its own. PointScan tells the
+// inflate loop when it has that much, and FromSerialized with the same stop
+// key builds a pack of just those entries.
 
 #ifndef MINICRYPT_SRC_CORE_PACK_H_
 #define MINICRYPT_SRC_CORE_PACK_H_
@@ -55,12 +60,19 @@ class Pack {
   // [n varint] then n x (key len-prefixed, value len-prefixed), sorted.
   std::string Serialize() const;
 
-  // Copying decode: borrows `bytes`, copies each field into the arena.
-  static Result<Pack> Deserialize(std::string_view bytes);
-
   // Zero-copy decode: adopts the buffer (the decompressor's output moves in
   // here) and slices entries out of it without copying a byte.
-  static Result<Pack> FromSerialized(std::string&& bytes);
+  //
+  // With `stop`, `bytes` may be a prefix of the serialization that runs at
+  // least through the entry holding the first key >= *stop, and the pack
+  // holds the entries up to and including that one. Such a pack answers
+  // Find(*stop) as the whole pack would, but it is not the pack: it must
+  // never be cached, mutated or sealed.
+  static Result<Pack> FromSerialized(std::string&& bytes,
+                                     std::optional<std::string_view> stop = std::nullopt);
+
+  // Tells a point read's inflate loop when its output suffices (below).
+  class PointScan;
 
   // --- Queries ----------------------------------------------------------------
 
@@ -95,6 +107,22 @@ class Pack {
   Result<std::pair<Pack, Pack>> SplitDeterministic() const;
 
  private:
+  // Where a parse of a serialization stands. The buffer may grow between
+  // calls (a point read's inflate output), so the parse resumes at `pos`.
+  struct ParseState {
+    std::optional<std::string_view> stop;
+    size_t pos = 0;      // bytes consumed: the entry count, then whole entries
+    uint64_t count = 0;  // declared entry count, once read
+    std::vector<EntryView> entries;
+  };
+
+  // The one parser of the serialized form, with the count, length and order
+  // checks. Consumes the whole entries of `bytes` past state->pos and returns
+  // true once done: every declared entry parsed with nothing trailing, or the
+  // entry holding the first key >= the stop key. False when `bytes` ends
+  // first.
+  static Result<bool> ParseEntries(std::string_view bytes, ParseState* state);
+
   // Bump allocator with stable addresses. Blocks are never reallocated, so
   // handed-out views stay valid for the Pack's lifetime; whole buffers can
   // be adopted without copying.
@@ -127,6 +155,20 @@ class Pack {
 
   Arena arena_;
   std::vector<EntryView> entries_;  // sorted by key, unique
+};
+
+// Follows a point read's inflate output as it grows.
+class Pack::PointScan {
+ public:
+  explicit PointScan(std::string_view stop) { state_.stop = stop; }
+
+  // `prefix` is the output so far; each call's extends the previous one's,
+  // in the same buffer. True once it runs through the stop entry, or is
+  // malformed (FromSerialized then says how).
+  bool Reached(std::string_view prefix);
+
+ private:
+  ParseState state_;
 };
 
 }  // namespace minicrypt

@@ -138,7 +138,8 @@ Result<SealedPack> PackCrypter::Seal(const Pack& pack, std::string_view context)
   return out;
 }
 
-Result<Pack> PackCrypter::Open(std::string_view envelope, std::string_view context) const {
+Result<Pack> PackCrypter::Open(std::string_view envelope, std::string_view context,
+                               std::optional<std::string_view> stop) const {
   OBS_SPAN("pack.open");
   std::string padded;
   {
@@ -157,16 +158,29 @@ Result<Pack> PackCrypter::Open(std::string_view envelope, std::string_view conte
   }
   MC_ASSIGN_OR_RETURN(std::string compressed, PaddingTiers::Unpad(padded));
   std::string raw;
+  uint64_t raw_size = 0;  // the whole serialization's, inflated or not
   {
     OBS_SPAN("pack.decompress");
-    MC_ASSIGN_OR_RETURN(raw, codec_->Decompress(compressed));
+    if (stop.has_value()) {
+      Pack::PointScan scan(*stop);
+      MC_ASSIGN_OR_RETURN(
+          raw, codec_->DecompressPrefix(
+                   compressed, [&scan](std::string_view out) { return scan.Reached(out); },
+                   &raw_size));
+    } else {
+      MC_ASSIGN_OR_RETURN(raw, codec_->Decompress(compressed));
+      raw_size = raw.size();
+    }
   }
   static const RatioMetrics open_ratio =
       RatioMetrics::Intern("pack.open.bytes_raw", "pack.open.bytes_wire", "pack.open.ratio");
-  open_ratio.Update(raw.size(), envelope.size());
+  open_ratio.Update(raw_size, envelope.size());
+  if (raw.size() < raw_size) {
+    OBS_COUNTER_ADD("pack.open.bytes_skipped", raw_size - raw.size());
+  }
   // Zero-copy: the decompressed buffer moves into the pack's arena and the
   // entries slice straight into it.
-  return Pack::FromSerialized(std::move(raw));
+  return Pack::FromSerialized(std::move(raw), stop);
 }
 
 Result<std::string> PackCrypter::SealValue(std::string_view value) const {

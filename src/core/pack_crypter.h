@@ -24,6 +24,7 @@
 
 #include <cstdint>
 #include <memory>
+#include <optional>
 #include <string>
 #include <string_view>
 
@@ -61,7 +62,14 @@ class PackCrypter {
   // seal outside any row context (benches, index packs with their own
   // framing) may leave it empty — the table and epoch are always bound.
   Result<SealedPack> Seal(const Pack& pack, std::string_view context = {}) const;
-  Result<Pack> Open(std::string_view envelope, std::string_view context = {}) const;
+
+  // GCM authenticates the whole envelope before anything is inflated. With
+  // `stop` (a point read's encoded key), the decode inflates only through
+  // the entry holding the first key >= *stop and returns those entries: a
+  // prefix pack that answers Find(*stop) and must never be cached or sealed
+  // (Pack::FromSerialized).
+  Result<Pack> Open(std::string_view envelope, std::string_view context = {},
+                    std::optional<std::string_view> stop = std::nullopt) const;
 
   // Seals a single row value (APPEND-mode puts and the encrypted baseline
   // client compress+encrypt one row at a time). Same envelope versioning,

@@ -33,7 +33,8 @@ void RetryBackoff::Sleep(int attempt) {
 }
 
 Result<FetchedPack> PackReader::FetchFloor(std::string_view partition,
-                                           std::string_view stored_key, bool allow_ttl) {
+                                           std::string_view stored_key, bool allow_ttl,
+                                           std::optional<std::string_view> point_key) {
   if (cache_ != nullptr) {
     if (allow_ttl) {
       if (auto fresh = cache_->Floor(table_, partition, stored_key, /*only_fresh=*/true)) {
@@ -81,7 +82,10 @@ Result<FetchedPack> PackReader::FetchFloor(std::string_view partition,
   OBS_SPAN("pack.fetch");
   MC_ASSIGN_OR_RETURN(auto found, cluster_->ReadFloor(table_, partition, stored_key));
   MC_ASSIGN_OR_RETURN(auto cells, ExtractPackCells(found.second));
-  return Open(partition, std::move(found.first), cells);
+  // A prefix pack must never reach the cache, so only a cacheless reader
+  // decodes up to the point key.
+  return Open(partition, std::move(found.first), cells,
+              cache_ == nullptr ? point_key : std::nullopt);
 }
 
 Result<FetchedPack> PackReader::OpenRow(std::string_view partition, std::string pack_id,
@@ -97,9 +101,10 @@ Result<FetchedPack> PackReader::OpenRow(std::string_view partition, std::string 
 }
 
 Result<FetchedPack> PackReader::Open(std::string_view partition, std::string pack_id,
-                                     std::pair<std::string_view, std::string_view> cells) {
+                                     std::pair<std::string_view, std::string_view> cells,
+                                     std::optional<std::string_view> stop) {
   const std::string_view context = bind_pack_id_ ? std::string_view(pack_id) : std::string_view();
-  MC_ASSIGN_OR_RETURN(Pack pack, crypter_->Open(cells.first, context));
+  MC_ASSIGN_OR_RETURN(Pack pack, crypter_->Open(cells.first, context, stop));
   FetchedPack out{std::move(pack_id), std::make_shared<const Pack>(std::move(pack)),
                   std::string(cells.second)};
   if (cache_ != nullptr) {

@@ -17,6 +17,7 @@
 #include <cstdint>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <string>
 #include <string_view>
 #include <utility>
@@ -124,8 +125,14 @@ class PackReader {
   // newer pack), else a cached candidate confirmed by a version probe of the
   // floor's `h` cell, else a direct read of the probed pack; with no
   // candidate (or no cache) a full floor read.
+  //
+  // `point_key` (a Get's encoded plaintext key) asks for a point decode when
+  // there is no cache to fill: the pack then holds only its entries through
+  // the first key >= *point_key (PackCrypter::Open), so the caller may only
+  // Find that key in it. With a cache the whole pack is opened and cached.
   Result<FetchedPack> FetchFloor(std::string_view partition, std::string_view stored_key,
-                                 bool allow_ttl);
+                                 bool allow_ttl,
+                                 std::optional<std::string_view> point_key = std::nullopt);
 
   // Opens a pack row already in hand (range scans, direct reads), reusing a
   // cached pack when its hash matches.
@@ -139,9 +146,11 @@ class PackReader {
   void CacheInvalidate(std::string_view partition, std::string_view pack_id);
 
  private:
-  // Decrypts the envelope and fills the cache.
+  // Decrypts the envelope and fills the cache. With `stop`, a point decode
+  // that only FetchFloor asks for, and only without a cache.
   Result<FetchedPack> Open(std::string_view partition, std::string pack_id,
-                           std::pair<std::string_view, std::string_view> cells);
+                           std::pair<std::string_view, std::string_view> cells,
+                           std::optional<std::string_view> stop = std::nullopt);
 
   Cluster* cluster_;
   const PackCrypter* crypter_;

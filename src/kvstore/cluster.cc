@@ -201,13 +201,13 @@ void Cluster::ChargeTransfer(size_t bytes) {
   OBS_COUNTER_ADD("net.transfer.bytes", bytes);
   if (micros > 0) {
     OBS_COUNTER_ADD("net.transfer.charged_micros", micros);
-    // The link is a shared resource: holding the slot while the transfer
-    // "runs" gives the cluster a finite aggregate bandwidth. The span covers
-    // queue wait + service time, so net.transfer p99 >> the charged micros
-    // means the client link is saturated.
+    // The link is a shared resource: each transfer books the next free
+    // window of its timeline, which gives the cluster a finite aggregate
+    // bandwidth. The span covers the booking and the wait for the window's
+    // end (queue wait + service time), so net.transfer p99 >> the charged
+    // micros means the client link is saturated.
     OBS_SPAN("net.transfer");
-    SemaphoreGuard slot(network_link_);
-    options_.clock->SleepMicros(micros);
+    link_.Occupy(options_.clock, micros);
   }
 }
 
@@ -260,8 +260,8 @@ Result<Cluster::ReplicaSet> Cluster::ResolveReplicas(std::string_view table,
   return rs;
 }
 
-size_t Cluster::RequiredAcks(size_t replica_count) const {
-  return options_.consistency == Consistency::kQuorum ? replica_count / 2 + 1 : 1;
+size_t Cluster::RequiredAcks(size_t replica_count, Consistency consistency) {
+  return consistency == Consistency::kQuorum ? replica_count / 2 + 1 : 1;
 }
 
 Status Cluster::Write(std::string_view table, std::string_view partition,
@@ -307,7 +307,7 @@ Status Cluster::ApplyWithTopologyRetry(std::string_view table, ReplicaSet rs,
   // and retry. Bounded: back-to-back flips are a test-only pathology.
   for (int attempt = 0;; ++attempt) {
     const Status s = ApplyToReplicas(table, rs, partition, clustering, stamped,
-                                     RequiredAcks(rs.natural_engines.size()));
+                                     RequiredAcks(rs.natural_engines.size(), options_.consistency));
     if (!IsTopologyAbort(s) || attempt >= 3) {
       return s;
     }
@@ -456,14 +456,15 @@ std::vector<size_t> Cluster::LiveIndexes(const std::vector<Node*>& replicas) con
 }
 
 Status Cluster::ReadReplicas(std::string_view table, const ReplicaSet& rs,
+                             Consistency consistency,
                              const std::function<Status(StorageEngine*)>& op,
                              std::vector<size_t>* contacted) {
-  const bool quorum = options_.consistency == Consistency::kQuorum;
+  const bool quorum = consistency == Consistency::kQuorum;
   const std::vector<size_t> live = LiveIndexes(rs.natural);
   if (!quorum && live.empty()) {
     return Status::Unavailable("no live replica for read");
   }
-  const size_t wanted = RequiredAcks(rs.natural_engines.size());
+  const size_t wanted = RequiredAcks(rs.natural_engines.size(), consistency);
   const uint64_t start = quorum ? 0 : read_rr_.fetch_add(1, std::memory_order_relaxed);
   FaultInjector* fi = options_.fault_injector;
   Status last = Status::Unavailable("read failed on every live replica");
@@ -1684,7 +1685,7 @@ Result<Row> Cluster::Read(std::string_view table, std::string_view partition,
   bool found = false;
   std::vector<size_t> contacted;
   const Status s = ReadReplicas(
-      table, rs,
+      table, rs, options_.consistency,
       [&](StorageEngine* engine) {
         auto row = engine->Get(partition, clustering);
         if (row.ok()) {
@@ -1720,10 +1721,12 @@ Result<Row> Cluster::Read(std::string_view table, std::string_view partition,
 
 Result<std::pair<std::string, Row>> Cluster::ReadFloor(std::string_view table,
                                                        std::string_view partition,
-                                                       std::string_view clustering) {
-  ScopedSpan read_span(ReadLatencyFor(options_.consistency));
+                                                       std::string_view clustering,
+                                                       std::optional<Consistency> consistency) {
+  const Consistency level = consistency.value_or(options_.consistency);
+  ScopedSpan read_span(ReadLatencyFor(level));
   OBS_SPAN("cluster.read_floor");
-  MC_ASSIGN_OR_RETURN(auto floor, ReadFloorInternal(table, partition, clustering));
+  MC_ASSIGN_OR_RETURN(auto floor, ReadFloorInternal(table, partition, clustering, level));
   size_t bytes = 0;
   for (const auto& [name, cell] : floor.second.cells) {
     bytes += cell.value.size();
@@ -1739,7 +1742,8 @@ Result<std::pair<std::string, std::string>> Cluster::ReadFloorCell(std::string_v
                                                                    std::string_view column) {
   ScopedSpan read_span(ReadLatencyFor(options_.consistency));
   OBS_SPAN("cluster.read_floor.version");
-  MC_ASSIGN_OR_RETURN(auto floor, ReadFloorInternal(table, partition, clustering));
+  MC_ASSIGN_OR_RETURN(auto floor,
+                      ReadFloorInternal(table, partition, clustering, options_.consistency));
   auto cell = floor.second.cells.find(std::string(column));
   if (cell == floor.second.cells.end() || cell->second.tombstone) {
     return Status::NotFound("floor row lacks column " + std::string(column));
@@ -1754,7 +1758,8 @@ Result<std::pair<std::string, std::string>> Cluster::ReadFloorCell(std::string_v
 
 Result<std::pair<std::string, Row>> Cluster::ReadFloorInternal(std::string_view table,
                                                                std::string_view partition,
-                                                               std::string_view clustering) {
+                                                               std::string_view clustering,
+                                                               Consistency consistency) {
   stats_.reads.fetch_add(1, std::memory_order_relaxed);
   MC_ASSIGN_OR_RETURN(const ReplicaSet rs, ResolveReplicas(table, partition));
   ChargeRtt(1);
@@ -1764,7 +1769,7 @@ Result<std::pair<std::string, Row>> Cluster::ReadFloorInternal(std::string_view 
   bool found = false;
   std::vector<size_t> contacted;
   MC_RETURN_IF_ERROR(ReadReplicas(
-      table, rs,
+      table, rs, consistency,
       [&](StorageEngine* engine) {
         auto result = engine->Floor(partition, clustering);
         if (result.ok() && (!found || result->first > floor_id)) {
@@ -1820,7 +1825,7 @@ Result<std::vector<std::pair<std::string, Row>>> Cluster::ReadRange(std::string_
   std::map<std::string, Row> merged;
   std::vector<size_t> contacted;
   MC_RETURN_IF_ERROR(ReadReplicas(
-      table, rs,
+      table, rs, options_.consistency,
       [&](StorageEngine* engine) {
         if (quorum) {
           // A scan that fails midway gives no answer, but the rows it merged

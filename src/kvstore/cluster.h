@@ -170,9 +170,10 @@ class Cluster {
 
   // Largest clustering <= `clustering` (the "ORDER BY packID DESC LIMIT 1"
   // primitive). NotFound when the partition has no row at or below it.
-  Result<std::pair<std::string, Row>> ReadFloor(std::string_view table,
-                                                std::string_view partition,
-                                                std::string_view clustering);
+  // `consistency` overrides the cluster's read level for this one call.
+  Result<std::pair<std::string, Row>> ReadFloor(
+      std::string_view table, std::string_view partition, std::string_view clustering,
+      std::optional<Consistency> consistency = std::nullopt);
 
   // Version probe: same floor routing as ReadFloor, but ships only the named
   // column of the floor row back to the client instead of the whole row.
@@ -461,8 +462,8 @@ class Cluster {
   // answered, charging one RTT for each answer after the first, and appends
   // the replicas that answered to `contacted` for the caller to merge and
   // read-repair; Unavailable when fewer answer. `contacted` stays empty at
-  // CL=ONE, which repairs nothing.
-  Status ReadReplicas(std::string_view table, const ReplicaSet& rs,
+  // CL=ONE, which repairs nothing. `consistency` is the call's level.
+  Status ReadReplicas(std::string_view table, const ReplicaSet& rs, Consistency consistency,
                       const std::function<Status(StorageEngine*)>& op,
                       std::vector<size_t>* contacted);
 
@@ -531,10 +532,11 @@ class Cluster {
   // cell).
   Result<std::pair<std::string, Row>> ReadFloorInternal(std::string_view table,
                                                         std::string_view partition,
-                                                        std::string_view clustering);
+                                                        std::string_view clustering,
+                                                        Consistency consistency);
 
-  // Acks a plain write needs under the configured consistency level.
-  size_t RequiredAcks(size_t replica_count) const;
+  // Acks a write, or answers a read, needs at `consistency`.
+  static size_t RequiredAcks(size_t replica_count, Consistency consistency);
 
   // Replays queued hints to a node; hints whose apply fails (injected
   // commit-log faults) are re-queued for the next replay.
@@ -582,10 +584,10 @@ class Cluster {
   static constexpr size_t kPaxosShards = 256;
   std::unique_ptr<std::mutex[]> paxos_locks_;
 
-  // Shared client link: transfers serialize here, so bulk results (range
-  // scans shipping uncompressed rows) saturate it just as the paper's
-  // vanilla client saturated the real network (§8.1.2).
-  Semaphore network_link_{1};
+  // Shared client link: transfers book consecutive windows of its timeline,
+  // so bulk results (range scans shipping uncompressed rows) saturate it
+  // just as the paper's vanilla client saturated the real network (§8.1.2).
+  ReservationTimeline link_{1};
 
   mutable std::mutex tables_mu_;
   std::map<std::string, bool, std::less<>> tables_;  // name -> server_compression

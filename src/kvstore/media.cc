@@ -49,7 +49,7 @@ SimulatedMedia::SimulatedMedia(MediaProfile profile, Clock* clock, FaultInjector
     : profile_(profile),
       clock_(clock),
       fault_injector_(fault_injector),
-      queue_(profile.queue_depth) {}
+      slots_(profile.queue_depth) {}
 
 uint64_t SimulatedMedia::SpikeMicros() {
   if (fault_injector_ == nullptr) {
@@ -69,8 +69,7 @@ uint64_t SimulatedMedia::Charge(uint64_t micros) {
       static_cast<double>(micros) * profile_.latency_scale));
   stats_.busy_micros.fetch_add(scaled, std::memory_order_relaxed);
   if (scaled > 0) {
-    SemaphoreGuard slot(queue_);
-    clock_->SleepMicros(scaled);
+    slots_.Occupy(clock_, scaled);
   }
   return scaled;
 }

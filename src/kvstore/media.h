@@ -4,9 +4,9 @@
 // set no longer fits in memory; disks collapsing harder than SSDs) come from
 // two device properties: per-access latency and device parallelism. Both are
 // first-class here. A cache miss in the storage engine calls Read(); the
-// calling thread holds one of the device's queue slots for the modelled
-// service time, so a queue-depth-1 disk serializes random reads while an
-// SSD overlaps them.
+// calling thread books the modelled service time on the device's
+// earliest-free queue slot and waits for it, so a queue-depth-1 disk
+// serializes random reads while an SSD overlaps them.
 
 #ifndef MINICRYPT_SRC_KVSTORE_MEDIA_H_
 #define MINICRYPT_SRC_KVSTORE_MEDIA_H_
@@ -76,8 +76,8 @@ struct MediaProfile {
   static MediaProfile Ssd(double latency_scale);
 };
 
-// Sleeps the calling thread for the modelled service time while holding one
-// of the device's queue slots.
+// Books the modelled service time on one timeline per queue slot
+// (ReservationTimeline) and sleeps the calling thread until it ends.
 class SimulatedMedia : public Media {
  public:
   // `fault_injector` (optional) adds kMediaLatency spikes on top of the
@@ -100,7 +100,7 @@ class SimulatedMedia : public Media {
   MediaProfile profile_;
   Clock* clock_;
   FaultInjector* fault_injector_;
-  Semaphore queue_;
+  ReservationTimeline slots_;
 };
 
 }  // namespace minicrypt

@@ -41,8 +41,8 @@ Status StorageEngine::ApplyInternal(std::string_view encoded_key, const Row& upd
       MC_RETURN_IF_ERROR(log_->Append(encoded_key, update));
     }
     std::lock_guard<std::mutex> lock(mu_);
-    memtable_.Apply(encoded_key, update);
-    want_flush = memtable_.ApproxBytes() >= options_.memtable_flush_bytes;
+    memtable_->Apply(encoded_key, update);
+    want_flush = memtable_->ApproxBytes() >= options_.memtable_flush_bytes;
   }
   if (want_flush) {
     return MaybeFlush();
@@ -53,25 +53,25 @@ Status StorageEngine::ApplyInternal(std::string_view encoded_key, const Row& upd
 Status StorageEngine::MaybeFlush() {
   std::unique_lock<std::shared_mutex> gate(log_gate_);
   std::lock_guard<std::mutex> lock(mu_);
-  if (memtable_.ApproxBytes() < options_.memtable_flush_bytes) {
+  if (memtable_->ApproxBytes() < options_.memtable_flush_bytes) {
     return Status::Ok();  // a racing applier already flushed
   }
   return FlushLocked();
 }
 
 Status StorageEngine::FlushLocked() {
-  if (memtable_.empty()) {
+  if (memtable_->empty()) {
     return Status::Ok();
   }
   OBS_SPAN("engine.flush");
   OBS_COUNTER_INC("engine.flush.count");
-  OBS_COUNTER_ADD("engine.flush.bytes", memtable_.ApproxBytes());
+  OBS_COUNTER_ADD("engine.flush.bytes", memtable_->ApproxBytes());
   SstableBuilder builder(next_sstable_id_++, options_.sstable);
-  for (const auto& [key, row] : memtable_.entries()) {
+  for (const auto& [key, row] : memtable_->entries()) {
     builder.Add(key, row);
   }
   sstables_.insert(sstables_.begin(), builder.Finish(media_, options_.fault_injector));
-  memtable_.Clear();
+  memtable_ = std::make_shared<Memtable>();
   if (log_ != nullptr) {
     MC_RETURN_IF_ERROR(log_->Retire());
   }
@@ -94,7 +94,7 @@ Status StorageEngine::Crash(uint64_t tear_draw) {
   // RAM is gone: memtable and any cached blocks. The commit log keeps its
   // synced prefix plus a seeded fraction of the unsynced tail (possibly torn
   // mid-record); everything else must come back from SSTables + log replay.
-  memtable_.Clear();
+  memtable_->Clear();
   if (log_ != nullptr) {
     const size_t torn = log_->Crash(tear_draw);
     OBS_COUNTER_ADD("engine.crash.torn_log_bytes", torn);
@@ -110,7 +110,7 @@ Status StorageEngine::RecoverFromLog() {
   }
   size_t replayed = 0;
   MC_RETURN_IF_ERROR(log_->Recover([&](std::string_view key, const Row& row) {
-    memtable_.Apply(key, row);
+    memtable_->Apply(key, row);
     ++replayed;
   }));
   OBS_COUNTER_ADD("engine.recover.replayed_records", replayed);
@@ -272,7 +272,7 @@ Status StorageEngine::CompactLocked() {
 
 StorageEngine::ReadSnapshot StorageEngine::Snapshot() const {
   std::lock_guard<std::mutex> lock(mu_);
-  return ReadSnapshot{sstables_};
+  return ReadSnapshot{sstables_, memtable_};
 }
 
 Result<uint64_t> StorageEngine::PartitionTombstoneTs(std::string_view partition,
@@ -281,7 +281,7 @@ Result<uint64_t> StorageEngine::PartitionTombstoneTs(std::string_view partition,
   uint64_t ts = 0;
   {
     std::lock_guard<std::mutex> lock(mu_);
-    const Row* m = memtable_.Get(marker_key);
+    const Row* m = snap.memtable->Get(marker_key);
     if (m != nullptr) {
       auto it = m->cells.find(kPartitionTombstoneColumn);
       if (it != m->cells.end()) {
@@ -321,7 +321,7 @@ Result<std::optional<Row>> StorageEngine::MergedGet(std::string_view encoded_key
   Row merged;
   {
     std::lock_guard<std::mutex> lock(mu_);
-    const Row* m = memtable_.Get(encoded_key);
+    const Row* m = snap.memtable->Get(encoded_key);
     if (m != nullptr) {
       merged.MergeNewer(*m);
     }
@@ -370,7 +370,7 @@ Result<std::pair<std::string, Row>> StorageEngine::Floor(std::string_view partit
     std::optional<std::string> best;
     {
       std::lock_guard<std::mutex> lock(mu_);
-      auto mk = memtable_.FloorKey(prefix, target);
+      auto mk = snap.memtable->FloorKey(prefix, target);
       if (mk.has_value()) {
         best = std::string(*mk);
       }
@@ -437,8 +437,8 @@ Status StorageEngine::Scan(std::string_view partition, std::string_view lo, std:
   std::map<std::string, Row> merged;
   {
     std::lock_guard<std::mutex> lock(mu_);
-    auto it = memtable_.entries().lower_bound(klo);
-    for (; it != memtable_.entries().end() && it->first <= khi; ++it) {
+    auto it = snap.memtable->entries().lower_bound(klo);
+    for (; it != snap.memtable->entries().end() && it->first <= khi; ++it) {
       merged[it->first].MergeNewer(it->second);
     }
   }
@@ -483,8 +483,8 @@ Status StorageEngine::ScanEncodedForRepair(
   std::map<std::string, Row> merged;
   {
     std::lock_guard<std::mutex> lock(mu_);
-    auto it = memtable_.entries().lower_bound(std::string(lo));
-    for (; it != memtable_.entries().end() && it->first <= hi; ++it) {
+    auto it = snap.memtable->entries().lower_bound(std::string(lo));
+    for (; it != snap.memtable->entries().end() && it->first <= hi; ++it) {
       merged[it->first].MergeNewer(it->second);
     }
   }
@@ -531,7 +531,7 @@ size_t StorageEngine::SstableCount() const {
 
 size_t StorageEngine::MemtableBytes() const {
   std::lock_guard<std::mutex> lock(mu_);
-  return memtable_.ApproxBytes();
+  return memtable_->ApproxBytes();
 }
 
 size_t StorageEngine::QuarantinedCount() const {

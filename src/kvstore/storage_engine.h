@@ -8,9 +8,10 @@
 //    them); flush, crash, and recovery hold it exclusive, so log Retire/
 //    Crash/Recover never race an in-flight Append.
 //  - mu_: serializes the memtable and sstable list. Reads take a snapshot of
-//    the sstable list under mu_ and then run lock-free against immutable
-//    tables (media sleeps happen outside the mutex so concurrent readers
-//    overlap on an SSD).
+//    the sstable list and the memtable under mu_ and then run lock-free
+//    against immutable tables (media sleeps happen outside the mutex so
+//    concurrent readers overlap on an SSD), re-taking mu_ only to read the
+//    snapshot's memtable.
 //
 // Corruption handling: SSTable reads verify per-block CRCs (format v2). A
 // read that hits a bad block returns Status::Corruption to the coordinator,
@@ -184,9 +185,13 @@ class StorageEngine {
   // no-op).
   Status MaybeFlush();
 
-  // Snapshot of immutable state for lock-free reads.
+  // Snapshot for lock-free reads: the table list and the memtable beside
+  // it. A flush installs a fresh memtable instead of clearing this one, so a
+  // read racing the flush still finds the rows moved into a table its
+  // snapshot lacks. Appliers may still add to the memtable: read it under mu_.
   struct ReadSnapshot {
     std::vector<std::shared_ptr<Sstable>> tables;  // newest first
+    std::shared_ptr<const Memtable> memtable;
   };
   ReadSnapshot Snapshot() const;
 
@@ -211,7 +216,7 @@ class StorageEngine {
   // Apply-vs-lifecycle gate; see the file comment. Lock order: gate, then mu_.
   mutable std::shared_mutex log_gate_;
   mutable std::mutex mu_;
-  Memtable memtable_;
+  std::shared_ptr<Memtable> memtable_ = std::make_shared<Memtable>();
   std::vector<std::shared_ptr<Sstable>> sstables_;  // newest first
   // Corrupt tables found by Scrub, still in sstables_ until DropQuarantined.
   std::vector<std::shared_ptr<Sstable>> quarantined_;

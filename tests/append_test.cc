@@ -2,11 +2,13 @@
 
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <thread>
 
 #include "src/common/clock.h"
 #include "src/common/coding.h"
 #include "src/core/append/em_service.h"
+#include "src/kvstore/fault_injector.h"
 
 namespace minicrypt {
 namespace {
@@ -310,6 +312,95 @@ TEST_F(AppendModeTest, BackgroundThreadsSmoke) {
   for (uint64_t k = 0; k < 20; ++k) {
     EXPECT_TRUE(client_->Get(100 + k).ok());
   }
+}
+
+// An acknowledged append stays readable while the merged pack that now holds
+// it has reached only the two replicas its LWT acked at. Client c1 lags an
+// epoch advance and appends key 16 into epoch 1 after c2 has appended 8..15
+// into epoch 2, so epoch 2's merge moves 16 into a pack of its own. The third
+// leg of that pack's LWT is held back, and epoch 1, which held 16's only raw
+// copy, is dropped. A Get makes seven CL=ONE reads over three replicas, so
+// round robin sends its first and its last epoch-0 floor read to the same
+// replica, in one Get of every three the replica missing the pack; the last
+// read goes to a quorum, which always meets the LWT's.
+TEST(AppendReadAfterMerge, GetFindsAKeyWhoseMergedPackMissesAReplica) {
+  FaultInjector faults(/*seed=*/11);
+  faults.set_latency_spike_base_micros(250'000);  // a delayed leg lands 0.25-1 s late
+  ClusterOptions co = ClusterOptions::ForTest();
+  co.node_count = 3;
+  co.replication_factor = 3;
+  co.replica_fanout_threads = 4;  // legs run concurrently; the LWT acks at two
+  co.fault_injector = &faults;
+  Cluster cluster(co);  // real clock: the delayed leg really is pending
+  SimulatedClock clock(1'000'000'000);
+  MiniCryptOptions options;
+  options.table = "ts_data";
+  options.pack_rows = 4;
+  options.epoch_micros = 2'000'000;
+  options.t_delta_micros = 500'000;
+  options.t_drift_micros = 200'000;
+  options.client_timeout_micros = 100'000'000;
+  ASSERT_TRUE(options.Validate().ok());
+  const SymmetricKey key = SymmetricKey::FromSeed("tenant");
+  EmService em(&cluster, options, "em1", &clock);
+  ASSERT_TRUE(em.Bootstrap().ok());
+  ASSERT_TRUE(em.Tick().ok());
+  AppendClient c1(&cluster, options, key, "c1", &clock);
+  AppendClient c2(&cluster, options, key, "c2", &clock);
+  ASSERT_TRUE(c1.Register().ok());
+  ASSERT_TRUE(c2.Register().ok());
+  // Every write lands on every replica before the next EM or merge pass
+  // reads it, so only the scripted leg below ever lags.
+  auto next_epoch = [&](std::initializer_list<AppendClient*> syncing) {
+    cluster.Quiesce();
+    clock.Advance(options.epoch_micros + 1000);
+    ASSERT_TRUE(em.Tick().ok());
+    cluster.Quiesce();
+    for (AppendClient* c : syncing) {
+      ASSERT_TRUE(c->HeartbeatOnce().ok());
+    }
+    cluster.Quiesce();
+  };
+  auto put = [](AppendClient* c, uint64_t first, uint64_t last) {
+    for (uint64_t k = first; k <= last; ++k) {
+      ASSERT_TRUE(c->Put(k, "v" + std::to_string(k)).ok()) << k;
+    }
+  };
+  put(&c2, 0, 7);
+  next_epoch({&c2});  // g = 2; c1 still appends into epoch 1
+  put(&c2, 8, 15);
+  put(&c1, 16, 16);
+  next_epoch({&c1, &c2});  // g = 3: epoch 1 merges keys [0, 8)
+  put(&c2, 24, 31);
+  ASSERT_TRUE(c1.MergeOnce().ok());
+  ASSERT_TRUE(c2.MergeOnce().ok());
+  next_epoch({&c1, &c2});  // g = 4: epoch 2 merges [8, 24), 16 from epoch 1
+  ASSERT_EQ(c1.local_epoch(), 4u);
+  ASSERT_EQ(c2.local_epoch(), 4u);
+
+  // Epoch 2's merge writes packs {8..11}, {12..15} and {16}, one LWT of three
+  // legs each: the ninth leg is the third replica's copy of {16}.
+  faults.Script(FaultPoint::kReplicaDelay, 9);
+  ASSERT_TRUE(c1.MergeOnce().ok());
+  ASSERT_TRUE(c2.MergeOnce().ok());
+  ASSERT_EQ(faults.trips(FaultPoint::kReplicaDelay), 1u);
+  // Epoch 1 goes once a stats read sees epoch 2 MERGED.
+  for (int i = 0; i < 1000 && c2.stats().epochs_deleted.load() == 0; ++i) {
+    ASSERT_TRUE(c2.DeleteMergedOnce().ok());
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  ASSERT_EQ(c2.stats().epochs_deleted.load(), 1u);
+  // Let the partition delete's (undelayed) legs land.
+  std::this_thread::sleep_for(std::chrono::milliseconds(20));
+
+  for (int i = 0; i < 6; ++i) {
+    auto v = c2.Get(16);
+    EXPECT_EQ(v.ok() ? *v : v.status().ToString(), "v16") << "get " << i;
+  }
+  cluster.Quiesce();
+  auto v = c2.Get(16);
+  ASSERT_TRUE(v.ok()) << v.status().ToString();
+  EXPECT_EQ(*v, "v16");
 }
 
 }  // namespace

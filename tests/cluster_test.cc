@@ -2,9 +2,14 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <cstdint>
 #include <thread>
+#include <vector>
 
+#include "src/common/clock.h"
 #include "src/common/coding.h"
+#include "src/kvstore/media.h"
 #include "src/kvstore/ring.h"
 
 namespace minicrypt {
@@ -195,6 +200,60 @@ TEST_F(ClusterTest, StatsCountersAdvance) {
   EXPECT_GT(cluster_.stats().bytes_to_client.load(), 0u);
   cluster_.ResetPerfCounters();
   EXPECT_EQ(cluster_.stats().reads.load(), 0u);
+}
+
+// The client link and each media queue slot are reservation timelines: a
+// charge books the next free window and sleeps to its end with no lock held.
+// Booked windows never overlap on one slot, so concurrent charges still take
+// at least their total divided by the slot count.
+TEST(ReservationTimelines, LinkSerializesConcurrentTransfers) {
+  ClusterOptions o = ClusterOptions::ForTest();  // rtt 0, zero-latency media
+  o.network_bytes_per_micro = 1.0;
+  Cluster cluster(o);
+  ASSERT_TRUE(cluster.CreateTable("t").ok());
+  constexpr int kThreads = 8;
+  constexpr uint64_t kChargeMicros = 2000;
+  // Column name "v" plus the value: a 2 ms transfer per write.
+  const std::string value(kChargeMicros - 1, 'x');
+  Clock* clock = SystemClock::Get();
+  std::atomic<uint64_t> first_start{UINT64_MAX};
+  std::atomic<uint64_t> last_end{0};
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      const uint64_t start = clock->NowMicros();
+      uint64_t seen = first_start.load();
+      while (start < seen && !first_start.compare_exchange_weak(seen, start)) {
+      }
+      EXPECT_TRUE(cluster.Write("t", "p", "row" + std::to_string(t), ValueRow(value)).ok());
+      const uint64_t end = clock->NowMicros();
+      seen = last_end.load();
+      while (end > seen && !last_end.compare_exchange_weak(seen, end)) {
+      }
+    });
+  }
+  for (auto& th : threads) {
+    th.join();
+  }
+  EXPECT_GE(last_end.load() - first_start.load(), kThreads * kChargeMicros);
+}
+
+TEST(ReservationTimelines, MediaQueueDepthBoundsConcurrentCharges) {
+  MediaProfile profile;
+  profile.seek_micros = 2000;  // Read(0) charges the seek alone
+  profile.queue_depth = 2;
+  SimulatedMedia media(profile, SystemClock::Get());
+  constexpr int kCharges = 8;
+  const uint64_t start = SystemClock::Get()->NowMicros();
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kCharges; ++t) {
+    threads.emplace_back([&] { media.Read(0); });
+  }
+  for (auto& th : threads) {
+    th.join();
+  }
+  EXPECT_GE(SystemClock::Get()->NowMicros() - start, kCharges * 2000 / 2);
+  EXPECT_EQ(media.stats().busy_micros.load(), kCharges * 2000u);
 }
 
 TEST(HashRing, ReplicasAreDistinctAndStable) {

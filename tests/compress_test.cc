@@ -5,6 +5,7 @@
 #include <string>
 #include <vector>
 
+#include "src/common/coding.h"
 #include "src/common/random.h"
 #include "src/compress/strawman.h"
 #include "src/workload/datasets.h"
@@ -28,6 +29,13 @@ class CodecRoundTrip : public ::testing::TestWithParam<std::string> {
     auto restored = codec()->Decompress(*compressed);
     ASSERT_TRUE(restored.ok()) << restored.status().ToString();
     EXPECT_EQ(*restored, input);
+    // A prefix decode that never has enough decodes the whole frame.
+    uint64_t full_size = 0;
+    auto streamed = codec()->DecompressPrefix(
+        *compressed, [](std::string_view) { return false; }, &full_size);
+    ASSERT_TRUE(streamed.ok()) << streamed.status().ToString();
+    EXPECT_EQ(*streamed, input);
+    EXPECT_EQ(full_size, input.size());
   }
 };
 
@@ -103,9 +111,16 @@ TEST_P(CodecRoundTrip, TruncatedInputNeverYieldsWrongData) {
   // framing slack (possible for range-coder flush bytes), still decode to
   // exactly the original. Silent wrong output is the only forbidden outcome.
   for (size_t cut : {size_t{0}, size_t{1}, compressed->size() / 2, compressed->size() - 1}) {
-    auto out = codec()->Decompress(std::string_view(compressed->data(), cut));
+    const std::string_view truncated(compressed->data(), cut);
+    auto out = codec()->Decompress(truncated);
     if (out.ok()) {
       EXPECT_EQ(*out, input) << "cut=" << cut << " silently decoded to wrong data";
+    }
+    uint64_t full_size = 0;
+    auto streamed = codec()->DecompressPrefix(
+        truncated, [](std::string_view) { return false; }, &full_size);
+    if (streamed.ok()) {
+      EXPECT_EQ(*streamed, input) << "cut=" << cut << " silently decoded to wrong data";
     }
   }
 }
@@ -193,6 +208,61 @@ INSTANTIATE_TEST_SUITE_P(AllCodecs, CodecRoundTrip,
                          ::testing::Values("snappylike", "lz4like", "zlib", "zlib9",
                                            "bzip2like", "lzmalike", "rle"),
                          [](const auto& info) { return info.param; });
+
+// A prefix decode stops at the first step after which `enough` holds, and
+// what it returns is the start of the payload.
+TEST(ZlibPrefix, StopsEarlyWithAPrefixOfThePayload) {
+  Rng rng(9);
+  std::string input;
+  for (int i = 0; i < 2000; ++i) {
+    input += "row " + std::to_string(rng.Uniform(1000)) + " of many; ";
+  }
+  const Compressor* zlib = FindCompressor("zlib");
+  auto compressed = zlib->Compress(input);
+  ASSERT_TRUE(compressed.ok());
+  uint64_t full_size = 0;
+  int steps = 0;
+  auto prefix = zlib->DecompressPrefix(
+      *compressed,
+      [&](std::string_view out) {
+        ++steps;
+        return out.size() >= 1000;
+      },
+      &full_size);
+  ASSERT_TRUE(prefix.ok()) << prefix.status().ToString();
+  EXPECT_EQ(full_size, input.size());
+  EXPECT_GE(prefix->size(), 1000u);
+  EXPECT_LT(prefix->size(), input.size());
+  EXPECT_EQ(*prefix, input.substr(0, prefix->size()));
+  EXPECT_GE(steps, 1);
+}
+
+// The frame header declares the raw size. One compressed byte inflates to at
+// most 1032, so a larger claim is rejected before the buffer is allocated.
+TEST(ZlibPrefix, OversizedDeclaredSizeIsRejectedBeforeAllocating) {
+  std::string frame;
+  PutVarint64(&frame, 1ULL << 30);  // 1 GiB
+  frame += std::string(20, '\x5a');
+  const Compressor* zlib = FindCompressor("zlib");
+  auto whole = zlib->Decompress(frame);
+  ASSERT_FALSE(whole.ok());
+  EXPECT_TRUE(whole.status().IsCorruption());
+  EXPECT_NE(whole.status().message().find("oversized payload"), std::string::npos)
+      << whole.status().ToString();
+  uint64_t full_size = 0;
+  auto prefix = zlib->DecompressPrefix(
+      frame, [](std::string_view) { return true; }, &full_size);
+  ASSERT_FALSE(prefix.ok());
+  EXPECT_NE(prefix.status().message().find("oversized payload"), std::string::npos)
+      << prefix.status().ToString();
+  // A real frame near the bound still decodes: 10 MB of zeros deflate ~1027:1.
+  const std::string zeros(10 << 20, '\0');
+  auto packed = zlib->Compress(zeros);
+  ASSERT_TRUE(packed.ok());
+  auto unpacked = zlib->Decompress(*packed);
+  ASSERT_TRUE(unpacked.ok()) << unpacked.status().ToString();
+  EXPECT_EQ(*unpacked, zeros);
+}
 
 TEST(Registry, KnownNamesResolve) {
   for (std::string_view name : AllCompressorNames()) {

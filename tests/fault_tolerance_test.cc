@@ -380,6 +380,9 @@ TEST(Corruption, CorruptBlocksAreNeverServedAsData) {
     ASSERT_TRUE(
         cluster.Write("t", "p", EncodeKey64(k), ValueRow("expected-" + std::to_string(k))).ok());
   }
+  // CL=ONE promises no read-your-writes: land the background replica legs,
+  // or a read can reach a replica that has not applied its row (NotFound).
+  cluster.Quiesce();
   Counter* detected = MetricsRegistry::Instance().GetCounter("storage.corruption.detected");
   const uint64_t detected_before = detected->Value();
   int corrupt_errors = 0;

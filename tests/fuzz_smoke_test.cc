@@ -6,6 +6,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "src/common/coding.h"
 #include "src/common/random.h"
 #include "src/compress/compressor.h"
@@ -54,9 +56,9 @@ TEST(FuzzSmoke, PackDeserializeSurvivesGarbage) {
   pack.Upsert(EncodeKey64(2), "two");
   const std::string valid = pack.Serialize();
   for (int i = 0; i < 1000; ++i) {
-    const std::string input =
+    std::string input =
         i % 2 == 0 ? RandomGarbage(&rng, 200) : SeededGarbage(&rng, valid, 60);
-    auto out = Pack::Deserialize(input);
+    auto out = Pack::FromSerialized(std::move(input));
     if (out.ok()) {
       // A spurious parse must still satisfy the sorted-unique invariant.
       const auto& entries = out->entries();
@@ -67,29 +69,60 @@ TEST(FuzzSmoke, PackDeserializeSurvivesGarbage) {
   }
 }
 
-// The zero-copy adopt path must reject exactly what the copying path rejects
-// and produce identical entries when both accept.
-TEST(FuzzSmoke, PackFromSerializedMatchesDeserializeOnGarbage) {
+// Whole versus point decode: whenever the whole decode accepts an input, a
+// point decode stopping at any of its keys accepts it too and returns the
+// same entries through that key — both from the whole buffer and from the
+// first prefix a PointScan, fed the buffer as it grows, calls enough. Every
+// third input is a random valid pack, so the comparison always has inputs.
+TEST(FuzzSmoke, PackPointDecodeMatchesWholeOnGarbage) {
   Rng rng(47);
   Pack pack;
-  pack.Upsert(EncodeKey64(1), "one");
-  pack.Upsert(EncodeKey64(2), "two");
+  for (uint64_t k = 1; k <= 4; ++k) {
+    pack.Upsert(EncodeKey64(k), std::string(k * 5, static_cast<char>('a' + k)));
+  }
   const std::string valid = pack.Serialize();
-  for (int i = 0; i < 500; ++i) {
-    const std::string input =
-        i % 2 == 0 ? RandomGarbage(&rng, 200) : SeededGarbage(&rng, valid, 60);
-    const auto copied = Pack::Deserialize(input);
-    std::string adopt_me = input;
-    const auto adopted = Pack::FromSerialized(std::move(adopt_me));
-    ASSERT_EQ(copied.ok(), adopted.ok());
-    if (copied.ok()) {
-      ASSERT_EQ(copied->entries().size(), adopted->entries().size());
-      for (size_t j = 0; j < copied->entries().size(); ++j) {
-        EXPECT_EQ(copied->entries()[j].key, adopted->entries()[j].key);
-        EXPECT_EQ(copied->entries()[j].value, adopted->entries()[j].value);
+  int accepted = 0;
+  for (int i = 0; i < 600; ++i) {
+    std::string input;
+    if (i % 3 == 0) {
+      input = RandomGarbage(&rng, 200);
+    } else if (i % 3 == 1) {
+      input = SeededGarbage(&rng, valid, 60);
+    } else {
+      Pack random_pack;
+      for (uint64_t n = rng.Uniform(8); n > 0; --n) {
+        random_pack.Upsert(EncodeKey64(rng.Uniform(64)), rng.Bytes(rng.Uniform(40)));
+      }
+      input = random_pack.Serialize();
+    }
+    const auto whole = Pack::FromSerialized(std::string(input));
+    if (!whole.ok()) {
+      // A point decode may accept what the whole decode rejects past its
+      // stop, but must not crash on it.
+      (void)Pack::FromSerialized(std::string(input), EncodeKey64(2));
+      continue;
+    }
+    ++accepted;
+    const auto& entries = whole->entries();
+    for (size_t stop = 0; stop < entries.size(); ++stop) {
+      const std::string key(entries[stop].key);
+      Pack::PointScan scan(key);
+      size_t len = 0;
+      while (len < input.size() && !scan.Reached(std::string_view(input.data(), len))) {
+        len = std::min(input.size(), len + 1 + rng.Uniform(8));
+      }
+      for (std::string bytes : {input, input.substr(0, len)}) {
+        const auto point = Pack::FromSerialized(std::move(bytes), key);
+        ASSERT_TRUE(point.ok()) << point.status().ToString();
+        ASSERT_EQ(point->entries().size(), stop + 1);
+        for (size_t j = 0; j <= stop; ++j) {
+          EXPECT_EQ(point->entries()[j].key, entries[j].key);
+          EXPECT_EQ(point->entries()[j].value, entries[j].value);
+        }
       }
     }
   }
+  EXPECT_GE(accepted, 200);
 }
 
 TEST(FuzzSmoke, RowDecodeSurvivesGarbage) {

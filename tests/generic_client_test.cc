@@ -109,6 +109,62 @@ TEST_F(GenericClientTest, BulkLoadThenReadEverything) {
   }
 }
 
+// A cacheless client's Get opens its pack only through the key (a point
+// decode). That prefix pack must never reach a pack cache or a seal:
+// re-sealing it would drop every row after the key. A cacheless and a cached
+// client share the cluster and, pack by pack, each alternates a Get of the
+// pack's first key with a Put of its last; every key must then read back.
+TEST_F(GenericClientTest, PointReadPrefixesNeverReachACacheOrASeal) {
+  Rng rng(29);
+  std::map<uint64_t, std::string> expected;
+  std::vector<std::pair<uint64_t, std::string>> rows;
+  for (uint64_t k = 0; k < 120; ++k) {
+    // Incompressible values, so a pack spans several inflate steps.
+    expected[k] = "v0-" + rng.Bytes(600);
+    rows.emplace_back(k, expected[k]);
+  }
+  ASSERT_TRUE(client_->BulkLoad(rows).ok());
+  MiniCryptOptions cached_options = options_;
+  cached_options.cache_capacity_bytes = 4 << 20;
+  GenericClient cached(&cluster_, cached_options, key_);
+  ASSERT_NE(cached.pack_cache(), nullptr);
+  ASSERT_EQ(client_->pack_cache(), nullptr);
+
+  // Every pack's first and last key, as the server holds them.
+  PackCrypter crypter(options_, key_);
+  std::vector<std::pair<uint64_t, uint64_t>> packs;
+  for (int p = 0; p < options_.hash_partitions; ++p) {
+    auto stored = cluster_.ReadRange(options_.table, PartitionLabel(p), "", std::string(9, '\xff'));
+    ASSERT_TRUE(stored.ok());
+    for (const auto& [pack_id, row] : *stored) {
+      auto pack = crypter.Open(row.cells.at("v").value, pack_id);
+      ASSERT_TRUE(pack.ok()) << pack.status().ToString();
+      ASSERT_FALSE(pack->empty());
+      packs.emplace_back(*DecodeKey64(pack->entries().front().key),
+                         *DecodeKey64(pack->entries().back().key));
+    }
+  }
+  ASSERT_GT(packs.size(), 10u);
+
+  int round = 0;
+  for (const auto& [first, last] : packs) {
+    for (GenericClient* c : {client_.get(), &cached}) {
+      auto v = c->Get(first);
+      ASSERT_TRUE(v.ok()) << first << ": " << v.status().ToString();
+      EXPECT_EQ(*v, expected[first]) << first;
+      expected[last] = "v" + std::to_string(++round) + "-" + rng.Bytes(600);
+      ASSERT_TRUE(c->Put(last, expected[last]).ok()) << last;
+    }
+  }
+  for (GenericClient* c : {client_.get(), &cached}) {
+    for (const auto& [k, value] : expected) {
+      auto v = c->Get(k);
+      ASSERT_TRUE(v.ok()) << k << ": " << v.status().ToString();
+      EXPECT_EQ(*v, value) << k;
+    }
+  }
+}
+
 TEST_F(GenericClientTest, RangeQueryInclusiveBounds) {
   std::vector<std::pair<uint64_t, std::string>> rows;
   for (uint64_t k = 0; k < 200; ++k) {

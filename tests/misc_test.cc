@@ -142,28 +142,6 @@ TEST(PeriodicTask, RunsAndStops) {
   EXPECT_EQ(runs.load(), after_stop);
 }
 
-TEST(Semaphore, BoundsConcurrency) {
-  Semaphore sem(2);
-  std::atomic<int> inside{0};
-  std::atomic<int> peak{0};
-  std::vector<std::thread> threads;
-  for (int t = 0; t < 6; ++t) {
-    threads.emplace_back([&] {
-      SemaphoreGuard guard(sem);
-      const int now = inside.fetch_add(1) + 1;
-      int expected = peak.load();
-      while (now > expected && !peak.compare_exchange_weak(expected, now)) {
-      }
-      std::this_thread::sleep_for(std::chrono::milliseconds(5));
-      inside.fetch_sub(1);
-    });
-  }
-  for (auto& th : threads) {
-    th.join();
-  }
-  EXPECT_LE(peak.load(), 2);
-}
-
 class FacadeTest : public ::testing::Test {
  protected:
   FacadeTest() : cluster_(ClusterOptions::ForTest()), key_(SymmetricKey::FromSeed("k")) {

@@ -8,6 +8,8 @@
 #include "src/common/coding.h"
 #include "src/common/random.h"
 #include "src/core/pack_crypter.h"
+#include "src/obs/metrics.h"
+#include "src/workload/datasets.h"
 
 namespace minicrypt {
 namespace {
@@ -24,7 +26,7 @@ Pack MakePack(std::initializer_list<uint64_t> keys) {
 
 TEST(Pack, SerializeDeserializeRoundTrip) {
   const Pack pack = MakePack({1, 5, 9, 100, 1ULL << 40});
-  auto back = Pack::Deserialize(pack.Serialize());
+  auto back = Pack::FromSerialized(pack.Serialize());
   ASSERT_TRUE(back.ok());
   EXPECT_EQ(back->size(), 5u);
   for (uint64_t k : {1ULL, 5ULL, 9ULL, 100ULL, 1ULL << 40}) {
@@ -36,7 +38,7 @@ TEST(Pack, SerializeDeserializeRoundTrip) {
 
 TEST(Pack, EmptyPackRoundTrip) {
   Pack empty;
-  auto back = Pack::Deserialize(empty.Serialize());
+  auto back = Pack::FromSerialized(empty.Serialize());
   ASSERT_TRUE(back.ok());
   EXPECT_TRUE(back->empty());
   EXPECT_FALSE(back->MinKey().has_value());
@@ -52,9 +54,9 @@ TEST(Pack, FromSortedRejectsDisorder) {
 TEST(Pack, DeserializeRejectsCorruption) {
   const Pack pack = MakePack({1, 2, 3});
   std::string bytes = pack.Serialize();
-  EXPECT_FALSE(Pack::Deserialize(std::string_view(bytes.data(), bytes.size() - 2)).ok());
+  EXPECT_FALSE(Pack::FromSerialized(bytes.substr(0, bytes.size() - 2)).ok());
   bytes += "extra";
-  EXPECT_FALSE(Pack::Deserialize(bytes).ok());
+  EXPECT_FALSE(Pack::FromSerialized(std::string(bytes)).ok());
 }
 
 TEST(Pack, UpsertKeepsOrderAndOverwrites) {
@@ -64,7 +66,7 @@ TEST(Pack, UpsertKeepsOrderAndOverwrites) {
   EXPECT_EQ(pack.size(), 3u);
   EXPECT_EQ(*pack.Find(EncodeKey64(20)), "twenty-two");
   // Order invariant held.
-  auto back = Pack::Deserialize(pack.Serialize());
+  auto back = Pack::FromSerialized(pack.Serialize());
   ASSERT_TRUE(back.ok());
 }
 
@@ -129,8 +131,31 @@ TEST(Pack, RandomizedMutationProperty) {
     EXPECT_EQ(*found, value);
   }
   // Serialization still canonical.
-  auto back = Pack::Deserialize(pack.Serialize());
+  auto back = Pack::FromSerialized(pack.Serialize());
   ASSERT_TRUE(back.ok());
+}
+
+// `rows` conviva rows under keys 10, 20, 30, ...: every gap holds a key.
+Pack ConvivaPack(size_t rows) {
+  const auto dataset = MakeDataset("conviva", 3);
+  std::vector<Pack::Entry> entries;
+  for (size_t i = 0; i < rows; ++i) {
+    entries.push_back({EncodeKey64(10 * (i + 1)), dataset->Row(i)});
+  }
+  auto pack = Pack::FromSorted(std::move(entries));
+  EXPECT_TRUE(pack.ok());
+  return std::move(pack).value();
+}
+
+// What a point read of ConvivaPack(rows) may ask for: every key, one below
+// the first, one between each neighbouring pair and one above the last.
+std::vector<uint64_t> ProbeKeys(size_t rows) {
+  std::vector<uint64_t> keys = {5};
+  for (uint64_t i = 1; i <= rows; ++i) {
+    keys.push_back(10 * i);
+    keys.push_back(10 * i + 5);
+  }
+  return keys;
 }
 
 class PackCrypterTest : public ::testing::Test {
@@ -217,6 +242,76 @@ TEST_F(PackCrypterTest, EveryRegisteredCodecWorksEndToEnd) {
     ASSERT_TRUE(back.ok()) << codec;
     EXPECT_EQ(back->Serialize(), pack.Serialize()) << codec;
   }
+}
+
+// A point decode answers every key as the whole open does, under every
+// codec: zlib streams and stops early, the others decode whole and stop the
+// parse.
+TEST_F(PackCrypterTest, PointDecodeFindsWhatTheWholeOpenFinds) {
+  for (std::string_view codec : AllCompressorNames()) {
+    MiniCryptOptions o = MakeOptions();
+    o.codec = std::string(codec);
+    PackCrypter crypter(o, key_);
+    for (size_t rows : {1, 2, 50, 75}) {
+      const Pack pack = ConvivaPack(rows);
+      auto sealed = crypter.Seal(pack, "pack-id");
+      ASSERT_TRUE(sealed.ok()) << codec;
+      auto whole = crypter.Open(sealed->envelope, "pack-id");
+      ASSERT_TRUE(whole.ok()) << codec;
+      for (uint64_t k : ProbeKeys(rows)) {
+        const std::string key = EncodeKey64(k);
+        auto point = crypter.Open(sealed->envelope, "pack-id", key);
+        ASSERT_TRUE(point.ok()) << codec << " rows=" << rows << " key=" << k << ": "
+                                << point.status().ToString();
+        EXPECT_EQ(point->Find(key), whole->Find(key))
+            << codec << " rows=" << rows << " key=" << k;
+        EXPECT_LE(point->size(), whole->size());
+      }
+    }
+  }
+}
+
+// GCM authenticates the whole envelope before the point decode inflates a
+// byte: one flipped bit anywhere in the body or the tag fails the open.
+TEST_F(PackCrypterTest, PointDecodeRejectsAFlippedBit) {
+  auto sealed = crypter_.Seal(ConvivaPack(50), "pack-id");
+  ASSERT_TRUE(sealed.ok());
+  const std::string& envelope = sealed->envelope;
+  const std::string first_key = EncodeKey64(10);
+  constexpr size_t kHeaderBytes = 12;  // "MCE2" || key epoch
+  constexpr size_t kTagBytes = 16;
+  for (size_t pos : {kHeaderBytes, kHeaderBytes + 40, envelope.size() / 2,
+                     envelope.size() - kTagBytes - 1, envelope.size() - kTagBytes,
+                     envelope.size() - 1}) {
+    std::string flipped = envelope;
+    flipped[pos] = static_cast<char>(flipped[pos] ^ 0x01);
+    auto r = crypter_.Open(flipped, "pack-id", first_key);
+    ASSERT_FALSE(r.ok()) << "pos=" << pos;
+    EXPECT_TRUE(r.status().IsCorruption()) << "pos=" << pos << ": " << r.status().ToString();
+  }
+}
+
+// pack.open.bytes_raw counts the frame's declared size on a point read too,
+// and pack.open.bytes_skipped the part the read did not inflate.
+TEST_F(PackCrypterTest, PointReadCountsDeclaredAndSkippedBytes) {
+  const Pack pack = ConvivaPack(50);
+  const size_t declared = pack.Serialize().size();
+  auto sealed = crypter_.Seal(pack);
+  ASSERT_TRUE(sealed.ok());
+  MetricsRegistry& registry = MetricsRegistry::Instance();
+  registry.SetEnabled(true);  // MC_OBS=0 would turn the counters off
+  Counter* bytes_raw = registry.GetCounter("pack.open.bytes_raw");
+  Counter* bytes_skipped = registry.GetCounter("pack.open.bytes_skipped");
+  const uint64_t raw_before = bytes_raw->Value();
+  const uint64_t skipped_before = bytes_skipped->Value();
+  auto point = crypter_.Open(sealed->envelope, {}, EncodeKey64(10));
+  ASSERT_TRUE(point.ok()) << point.status().ToString();
+  EXPECT_EQ(point->size(), 1u);
+  // The prefix pack adopts exactly the bytes that were inflated.
+  const size_t inflated = point->ArenaBytes();
+  EXPECT_LT(inflated, declared);
+  EXPECT_EQ(bytes_raw->Value() - raw_before, declared);
+  EXPECT_EQ(bytes_skipped->Value() - skipped_before, declared - inflated);
 }
 
 }  // namespace

@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <condition_variable>
+#include <mutex>
+#include <thread>
+
 #include "src/common/coding.h"
 #include "src/common/random.h"
 #include "src/kvstore/fault_injector.h"
@@ -403,6 +407,67 @@ TEST_F(StorageEngineTest, CompactionSkipsWhenAnInputTableIsCorrupt) {
   EXPECT_GT(skipped->Value(), skipped_before);
   // Rows outside the corrupt block still read fine.
   EXPECT_TRUE(engine.Get("p1", EncodeKey64(79)).ok());
+}
+
+// Parks the first Read after Arm() until Release(), so a test can act
+// between a read's SSTable snapshot and its memtable lookup.
+class ParkingMedia : public Media {
+ public:
+  void Arm() {
+    std::lock_guard<std::mutex> lock(mu_);
+    armed_ = true;
+  }
+  void Read(size_t /*bytes*/) override {
+    std::unique_lock<std::mutex> lock(mu_);
+    if (!armed_) {
+      return;
+    }
+    armed_ = false;
+    parked_ = true;
+    cv_.notify_all();
+    cv_.wait(lock, [&] { return released_; });
+  }
+  void Write(size_t /*bytes*/, bool /*sequential*/) override {}
+  void WaitParked() {
+    std::unique_lock<std::mutex> lock(mu_);
+    cv_.wait(lock, [&] { return parked_; });
+  }
+  void Release() {
+    std::lock_guard<std::mutex> lock(mu_);
+    released_ = true;
+    cv_.notify_all();
+  }
+
+ private:
+  std::mutex mu_;
+  std::condition_variable cv_;
+  bool armed_ = false;
+  bool parked_ = false;
+  bool released_ = false;
+};
+
+// A read snapshots the SSTable list, then reads tables and the memtable. A
+// flush in between moves the memtable's rows into a table the snapshot does
+// not hold; the read must still see them.
+TEST(StorageEngineSnapshot, ReadRacingAFlushSeesTheFlushedRows) {
+  StorageEngineOptions opts;
+  opts.sstable.block_bytes = 512;
+  ParkingMedia media;
+  StorageEngine engine(opts, /*cache=*/nullptr, &media, std::make_unique<MemoryLogSink>());
+  // An older table holding the partition marker: the read's tombstone lookup
+  // fetches its block, and parks, after the snapshot.
+  ASSERT_TRUE(engine.Apply("p", "", PartitionTombstone(1)).ok());
+  ASSERT_TRUE(engine.Flush().ok());
+  ASSERT_TRUE(engine.Apply("p", EncodeKey64(7), ValueRow("seven", 2)).ok());
+  media.Arm();
+  Result<Row> row = Status::Internal("read never ran");
+  std::thread reader([&] { row = engine.Get("p", EncodeKey64(7)); });
+  media.WaitParked();
+  EXPECT_TRUE(engine.Flush().ok());  // the row moves into a new table
+  media.Release();
+  reader.join();
+  ASSERT_TRUE(row.ok()) << row.status().ToString();
+  EXPECT_EQ(row->cells.at("v").value, "seven");
 }
 
 }  // namespace
