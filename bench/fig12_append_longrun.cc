@@ -3,6 +3,7 @@
 // continuously, showing the merge pipeline keeping pace with insertion. A
 // separate baseline run provides the reference insert curve.
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cstdio>
@@ -93,12 +94,16 @@ int Main() {
 
   std::atomic<bool> stop{false};
   std::atomic<uint64_t> next_key{0};
+  std::vector<std::vector<uint64_t>> acked(clients);  // per writer, keys whose Put was Ok
   std::vector<std::thread> threads;
   for (int t = 0; t < clients; ++t) {
     threads.emplace_back([&, t] {
+      const auto i = static_cast<size_t>(t);
       while (!stop.load(std::memory_order_relaxed)) {
         const uint64_t k = next_key.fetch_add(1, std::memory_order_relaxed);
-        (void)workers[static_cast<size_t>(t)]->Put(k, dataset->Row(k % 4096));
+        if (workers[i]->Put(k, dataset->Row(k % 4096)).ok()) {
+          acked[i].push_back(k);
+        }
       }
     });
   }
@@ -137,6 +142,30 @@ int Main() {
     w->Stop();
   }
 
+  // Read back every acknowledged key: a miss is data loss, which a deleted
+  // count above the merged one could otherwise hide.
+  std::vector<uint64_t> expected;
+  for (const auto& keys : acked) {
+    expected.insert(expected.end(), keys.begin(), keys.end());
+  }
+  std::sort(expected.begin(), expected.end());
+  size_t missing = 0;
+  constexpr uint64_t kReadBackChunk = 4096;
+  for (size_t i = 0; i < expected.size();) {
+    const uint64_t hi = expected[i] + kReadBackChunk - 1;
+    auto got = workers[0]->GetRange(expected[i], hi);
+    size_t j = 0;
+    for (; i < expected.size() && expected[i] <= hi; ++i) {
+      while (got.ok() && j < got->size() && (*got)[j].first < expected[i]) {
+        ++j;
+      }
+      const bool found = got.ok() && j < got->size() && (*got)[j].first == expected[i] &&
+                         (*got)[j].second == dataset->Row(expected[i] % 4096);
+      missing += found ? 0 : 1;
+    }
+  }
+  std::printf("# read-back: %zu acknowledged keys, %zu missing\n", expected.size(), missing);
+
   const uint64_t baseline_inserted = RunBaseline(clients, seconds);
   std::printf("\n# baseline inserted over same window: %llu (append/baseline = %.2f)\n",
               static_cast<unsigned long long>(baseline_inserted),
@@ -156,11 +185,11 @@ int Main() {
               "append/baseline=%.2f\n",
               late_inserts > 0 ? late_merges / late_inserts : 0.0,
               deletion_follows ? "yes" : "no", tp_fraction);
-  const bool pass = merge_keeps_pace && deletion_follows && tp_fraction > 0.1;
+  const bool pass = merge_keeps_pace && deletion_follows && tp_fraction > 0.1 && missing == 0;
   std::printf("# shape-check: merge-keeps-pace=%s deletes-follow-merges=%s "
-              "throughput-fraction-ok=%s\n",
+              "throughput-fraction-ok=%s read-back=%s\n",
               merge_keeps_pace ? "PASS" : "FAIL", deletion_follows ? "PASS" : "FAIL",
-              tp_fraction > 0.1 ? "PASS" : "FAIL");
+              tp_fraction > 0.1 ? "PASS" : "FAIL", missing == 0 ? "PASS" : "FAIL");
   return pass ? 0 : 1;
 }
 

@@ -229,11 +229,15 @@ Result<std::vector<std::pair<uint64_t, std::string>>> AppendClient::GetRange(uin
   std::map<uint64_t, std::string> merged;
 
   // Merged packs in epoch 0 (Figure 4, applied to the e0 partition): packs
-  // with IDs in [low, high], plus the boundary pack holding `low`.
+  // with IDs in [low, high], plus the boundary pack holding `low`. Both reads
+  // go to a quorum, as Get's last step does: a merged pack's LWT acks at two
+  // of three replicas, and the epoch that held a key's only raw copy may
+  // already be dropped.
   const std::string partition = EpochPartition(kMergedEpoch);
-  MC_ASSIGN_OR_RETURN(auto pack_rows, cluster_->ReadRange(options_.table, partition, klo, khi));
+  MC_ASSIGN_OR_RETURN(auto pack_rows, cluster_->ReadRange(options_.table, partition, klo, khi,
+                                                          0, Consistency::kQuorum));
   if (pack_rows.empty() || pack_rows.front().first != klo) {
-    auto floor = cluster_->ReadFloor(options_.table, partition, klo);
+    auto floor = cluster_->ReadFloor(options_.table, partition, klo, Consistency::kQuorum);
     if (floor.ok()) {
       pack_rows.push_back(std::move(*floor));
     } else if (!floor.status().IsNotFound()) {
@@ -453,11 +457,19 @@ Status AppendClient::DeleteMergedOnce() {
     if (!prev_ok || !settled(epoch + 1)) {
       continue;
     }
+    // The flip is an LWT: of the clients that see the epoch MERGED, one wins
+    // it, and only the winner counts and drops the epoch.
     Row update;
     update.cells[std::string(kStatusColumn)] =
         PlainCell(std::string(1, static_cast<char>(EpochStatus::kDeleted)));
-    MC_RETURN_IF_ERROR(
-        cluster_->Write(meta_table_, kStatsPartition, EncodeKey64(epoch), update));
+    const Status flipped = cluster_->WriteIf(
+        meta_table_, kStatsPartition, EncodeKey64(epoch), update,
+        LwtCondition::CellEquals(std::string(kStatusColumn),
+                                 std::string(1, static_cast<char>(EpochStatus::kMerged))));
+    if (flipped.IsConditionFailed()) {
+      continue;
+    }
+    MC_RETURN_IF_ERROR(flipped);
     // Count the keys being dropped (for the Figure 12 series) then drop the
     // whole partition in one tombstone.
     MC_ASSIGN_OR_RETURN(auto rows, cluster_->ReadRange(options_.table, EpochPartition(epoch),

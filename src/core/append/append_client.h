@@ -62,7 +62,8 @@ class AppendClient {
   Result<std::string> Get(uint64_t key);
 
   // Time-range query (the workload §2.3 and §8.1.2 motivate): merged packs
-  // in epoch 0 plus every live raw epoch, deduplicated. Inclusive bounds.
+  // in epoch 0, read at QUORUM, plus every live raw epoch, read at the
+  // cluster's level, deduplicated. Inclusive bounds.
   Result<std::vector<std::pair<uint64_t, std::string>>> GetRange(uint64_t low, uint64_t high);
 
   // --- Background duties (heartbeat, epoch sync, merge, delete) ----------------

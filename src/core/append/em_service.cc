@@ -195,7 +195,6 @@ Status EmService::AssignEpochs(uint64_t g_epoch, uint64_t now) {
   std::sort(live.begin(), live.end());
   MC_ASSIGN_OR_RETURN(auto stats_rows, cluster_->ReadRange(meta_table_, kStatsPartition,
                                                            EncodeKey64(1), EncodeKey64(~0ULL)));
-  size_t rr = 0;
   for (const auto& [clustering, row] : stats_rows) {
     auto stats = ParseStatsRow(clustering, row);
     if (!stats.ok() || stats->status != EpochStatus::kNotMerged) {
@@ -210,8 +209,10 @@ Status EmService::AssignEpochs(uint64_t g_epoch, uint64_t now) {
     if (assignee_alive) {
       continue;
     }
-    // Assign (or re-assign from a dead client) round-robin over live clients.
-    const std::string& chosen = live[rr++ % live.size()];
+    // Assign (or re-assign from a dead client) by epoch number: a tick usually
+    // finds one newly mergeable epoch, and consecutive epochs go to
+    // consecutive live clients.
+    const std::string& chosen = live[stats->epoch % live.size()];
     Row update;
     update.cells[std::string(kClientColumn)] = PlainCell(chosen);
     MC_RETURN_IF_ERROR(cluster_->Write(meta_table_, kStatsPartition, clustering, update));

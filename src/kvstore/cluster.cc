@@ -1,9 +1,7 @@
 #include "src/kvstore/cluster.h"
 
 #include <algorithm>
-#include <array>
 #include <cmath>
-#include <set>
 
 #include "src/kvstore/bloom.h"
 #include "src/kvstore/node.h"
@@ -20,6 +18,24 @@ LatencyHistogram* ReadLatencyFor(Consistency consistency) {
   static LatencyHistogram* quorum =
       MetricsRegistry::Instance().GetHistogram("cluster.read.quorum");
   return consistency == Consistency::kQuorum ? quorum : one;
+}
+
+bool Contains(const std::vector<int>& ids, int id) {
+  return std::find(ids.begin(), ids.end(), id) != ids.end();
+}
+
+// True when `have` is missing a cell of `merged` or holds an older copy
+// (timestamp ties with different content also repair, so the deterministic
+// tie-break winner propagates).
+bool RowNeedsRepair(const Row& have, const Row& merged) {
+  for (const auto& [name, cell] : merged.cells) {
+    auto it = have.cells.find(name);
+    if (it == have.cells.end() || it->second.timestamp < cell.timestamp ||
+        (it->second.timestamp == cell.timestamp && !(it->second == cell))) {
+      return true;
+    }
+  }
+  return false;
 }
 
 }  // namespace
@@ -892,37 +908,137 @@ void Cluster::CommitTopology(const std::function<void()>& fn) {
   topology_epoch_.fetch_add(1, std::memory_order_release);
 }
 
-Status Cluster::StreamPendingRanges() {
-  // Snapshot the window under the shared lock; the scans below then run
-  // against ring copies. The window cannot flip mid-stream — topology_mu_
-  // (held by every caller) serializes streaming with the flip.
+Result<std::map<int, size_t>> Cluster::CopyRows(const std::string& table,
+                                                const CopyTargets& targets, int skip_source,
+                                                const QuarantinedRange* range) {
+  bool server_compression = false;
+  {
+    std::lock_guard<std::mutex> lock(tables_mu_);
+    auto it = tables_.find(table);
+    if (it == tables_.end()) {
+      return Status::InvalidArgument("no such table: " + table);
+    }
+    server_compression = it->second;
+  }
   HashRing natural;
-  HashRing pending;
-  std::vector<int> sources;
+  std::optional<HashRing> pending;
   {
     std::shared_lock<std::shared_mutex> lock(ring_mu_);
-    if (!pending_ring_.has_value()) {
-      return Status::Ok();  // already flipped (resume past the stream stage)
-    }
     natural = ring_;
-    pending = *pending_ring_;
-    for (const auto& [id, state] : membership_) {
-      if (state == MembershipState::kServing || state == MembershipState::kLeaving) {
-        sources.push_back(id);
+    pending = pending_ring_;
+  }
+  std::vector<int> sources = natural.node_ids();
+  std::sort(sources.begin(), sources.end());
+  const int rf = options_.replication_factor;
+
+  // Each partition's owners and targets, resolved once.
+  struct Plan {
+    std::vector<int> owners;
+    std::vector<int> targets;
+  };
+  std::map<std::string, Plan, std::less<>> plans;
+  // Encoded key -> the owners' merged row and its partition's plan.
+  struct Copy {
+    const Plan* plan = nullptr;
+    Row row;
+  };
+  std::map<std::string, Copy> merged;
+  // Scanned target -> the rows it already holds of the partitions it receives.
+  std::map<int, std::map<std::string, Row>> held;
+  const std::string lo = range == nullptr ? "" : range->smallest;
+  const std::string hi = range == nullptr ? std::string(96, '\xff') : range->largest;
+  for (int src : sources) {
+    if (src == skip_source || IsNodeDown(src)) {
+      continue;  // the other owners cover its rows (RF-fold redundancy)
+    }
+    Node* node = NodeAt(src);
+    StorageEngine* engine = node == nullptr ? nullptr : node->FindEngine(table);
+    if (engine == nullptr) {
+      continue;  // replica never saw a write for this table
+    }
+    // Raw rows: timestamps, tombstones and partition-tombstone markers
+    // included, or a missed tombstone would resurrect deleted data.
+    (void)engine->ScanEncodedForRepair(lo, hi, [&](std::string_view key, const Row& row) {
+      auto decoded = DecodeRowKey(key);
+      if (!decoded.ok()) {
+        return;
+      }
+      auto it = plans.find(decoded->partition);
+      if (it == plans.end()) {
+        Plan plan;
+        plan.owners = natural.Replicas(decoded->partition, rf);
+        plan.targets = targets(plan.owners, pending.has_value()
+                                                ? pending->Replicas(decoded->partition, rf)
+                                                : std::vector<int>{});
+        it = plans.emplace(std::string(decoded->partition), std::move(plan)).first;
+      }
+      const Plan& plan = it->second;
+      if (plan.targets.empty()) {
+        return;
+      }
+      if (Contains(plan.owners, src)) {
+        Copy& copy = merged[std::string(key)];
+        copy.plan = &plan;
+        copy.row.MergeNewer(row);
+      }
+      if (Contains(plan.targets, src)) {
+        held[src].emplace(std::string(key), row);
+      }
+    });
+  }
+
+  // Target -> the merged rows it receives, in key order.
+  std::map<int, std::vector<const std::pair<const std::string, Copy>*>> outbound;
+  for (const auto& entry : merged) {
+    for (int target : entry.second.plan->targets) {
+      outbound[target].push_back(&entry);
+    }
+  }
+  std::map<int, size_t> copied;
+  for (const auto& [target, entries] : outbound) {
+    const auto have = held.find(target);
+    StorageEngine* engine = nullptr;
+    for (const auto* entry : entries) {
+      const std::string& key = entry->first;
+      const Row& row = entry->second.row;
+      if (have != held.end()) {
+        auto it = have->second.find(key);
+        if (it != have->second.end() && !RowNeedsRepair(it->second, row)) {
+          continue;
+        }
+      }
+      if (engine == nullptr) {
+        if (IsNodeDown(target)) {
+          return Status::Unavailable("copy target node " + std::to_string(target) + " is down");
+        }
+        Node* node = NodeAt(target);
+        if (node == nullptr) {
+          return Status::InvalidArgument("copy target node missing: " + std::to_string(target));
+        }
+        engine = node->EngineFor(table, server_compression);
+        copied[target] = 0;
+      }
+      if (engine->ApplyEncoded(key, row).ok()) {
+        ++copied[target];
       }
     }
   }
-  std::vector<std::pair<std::string, bool>> tables;
+  return copied;
+}
+
+Status Cluster::StreamAndFlip(const std::string& flip_context, int node,
+                              MembershipState flipped) {
+  // topology_mu_, held by every caller, keeps the window open until the flip
+  // below.
+  std::vector<std::string> tables;
   {
     std::lock_guard<std::mutex> lock(tables_mu_);
     for (const auto& [name, compression] : tables_) {
-      tables.emplace_back(name, compression);
+      tables.push_back(name);
     }
   }
   FaultInjector* fi = options_.fault_injector;
-  const std::string hi(96, '\xff');
-  const int rf = options_.replication_factor;
-  for (const auto& [table, compression] : tables) {
+  for (const std::string& table : tables) {
     if (fi != nullptr && fi->Fire(FaultPoint::kStreamInterrupt, "table=" + table)) {
       // Session torn mid-transfer. Rows already applied are harmless (LWW
       // re-application is idempotent); the caller's stage is unchanged, so
@@ -931,62 +1047,38 @@ Status Cluster::StreamPendingRanges() {
       return Status::Unavailable("injected: stream interrupted on table " + table);
     }
     OBS_COUNTER_INC("stream.sessions");
-    // For each partition, the gaining targets are the pending-ring replicas
-    // that are not natural replicas. Merged across every up source replica
-    // (raw rows: timestamps, tombstones, and partition-tombstone markers
-    // included — a missed tombstone would resurrect deleted data).
-    std::map<std::string, std::vector<int>> gaining;  // partition -> targets
-    std::map<int, std::map<std::string, Row>> outbound;  // target -> rows
-    for (int src : sources) {
-      if (IsNodeDown(src)) {
-        continue;  // remaining sources cover its ranges (RF-fold redundancy)
-      }
-      Node* source_node = NodeAt(src);
-      StorageEngine* source = source_node == nullptr ? nullptr : source_node->FindEngine(table);
-      if (source == nullptr) {
-        continue;  // replica never saw a write for this table
-      }
-      (void)source->ScanEncodedForRepair("", hi, [&](std::string_view key, const Row& row) {
-        auto decoded = DecodeRowKey(key);
-        if (!decoded.ok()) {
-          return;
-        }
-        const std::string partition(decoded->partition);
-        auto it = gaining.find(partition);
-        if (it == gaining.end()) {
-          std::vector<int> targets;
-          const std::vector<int> before = natural.Replicas(partition, rf);
-          for (int id : pending.Replicas(partition, rf)) {
-            if (std::find(before.begin(), before.end(), id) == before.end()) {
-              targets.push_back(id);
+    // A partition's targets are its pending owners that do not own it yet.
+    MC_ASSIGN_OR_RETURN(
+        const auto copied,
+        CopyRows(table, [](const std::vector<int>& owners, const std::vector<int>& pending) {
+          std::vector<int> gaining;
+          for (int id : pending) {
+            if (!Contains(owners, id)) {
+              gaining.push_back(id);
             }
           }
-          it = gaining.emplace(partition, std::move(targets)).first;
-        }
-        for (int target : it->second) {
-          outbound[target][std::string(key)].MergeNewer(row);
-        }
-      });
-    }
-    for (auto& [target, rows] : outbound) {
-      if (IsNodeDown(target)) {
-        return Status::Unavailable("stream target node " + std::to_string(target) + " is down");
-      }
-      Node* node = NodeAt(target);
-      if (node == nullptr) {
-        return Status::InvalidArgument("stream target node missing: " + std::to_string(target));
-      }
-      StorageEngine* engine = node->EngineFor(table, compression);
-      size_t applied = 0;
-      for (const auto& [key, row] : rows) {
-        if (engine->ApplyEncoded(key, row).ok()) {
-          ++applied;
-        }
-      }
-      OBS_COUNTER_ADD("stream.rows_streamed", applied);
+          return gaining;
+        }));
+    for (const auto& [target, rows] : copied) {
+      OBS_COUNTER_ADD("stream.rows_streamed", rows);
       OBS_COUNTER_INC("stream.ranges_streamed");
     }
   }
+  Quiesce();
+  // Drain hints before the flip so nothing a new owner should hold is parked
+  // in a queue. A hint queued after this drain is still safe: its write
+  // dual-applied to the pending owners, so the acked copy count already
+  // satisfies the post-flip quorum.
+  ReplayAllHints();
+  MC_RETURN_IF_ERROR(PersistMembership(flip_context));
+  CommitTopology([&]() {
+    ring_ = *pending_ring_;
+    pending_ring_.reset();
+    if (node >= 0) {
+      membership_[node] = flipped;
+      UpdateServingGauge();
+    }
+  });
   return Status::Ok();
 }
 
@@ -1035,20 +1127,8 @@ Status Cluster::RunBootstrap() {
     return Status::Unavailable("bootstrap target node " + std::to_string(op.node) +
                                " is down; restart it and resume");
   }
-  MC_RETURN_IF_ERROR(StreamPendingRanges());
-  Quiesce();
-  // Drain hints before the flip so nothing the new owner should hold is
-  // parked in a queue. A hint queued after this drain is still safe: its
-  // write dual-applied to the pending owner, so the acked copy count already
-  // satisfies the post-flip quorum.
-  ReplayAllHints();
-  MC_RETURN_IF_ERROR(PersistMembership("bootstrap flip node=" + std::to_string(op.node)));
-  CommitTopology([&]() {
-    ring_ = *pending_ring_;
-    pending_ring_.reset();
-    membership_[op.node] = MembershipState::kServing;
-    UpdateServingGauge();
-  });
+  MC_RETURN_IF_ERROR(StreamAndFlip("bootstrap flip node=" + std::to_string(op.node), op.node,
+                                   MembershipState::kServing));
   SetInflight(std::nullopt);
   OBS_COUNTER_INC("ring.bootstraps");
   return Status::Ok();
@@ -1091,16 +1171,8 @@ Status Cluster::RunDecommission() {
       return Status::Unavailable("leaving node " + std::to_string(op.node) +
                                  " is down; restart it and resume, or cancel");
     }
-    MC_RETURN_IF_ERROR(StreamPendingRanges());
-    Quiesce();
-    ReplayAllHints();
-    MC_RETURN_IF_ERROR(PersistMembership("decommission flip node=" + std::to_string(op.node)));
-    CommitTopology([&]() {
-      ring_ = *pending_ring_;
-      pending_ring_.reset();
-      membership_[op.node] = MembershipState::kDrained;
-      UpdateServingGauge();
-    });
+    MC_RETURN_IF_ERROR(StreamAndFlip("decommission flip node=" + std::to_string(op.node),
+                                     op.node, MembershipState::kDrained));
     op.stage = TopologyStatus::Stage::kFlipped;
     SetInflight(op);
   }
@@ -1246,14 +1318,7 @@ Result<size_t> Cluster::RebalanceTokens(size_t max_moves) {
 
 Status Cluster::RunRebalance() {
   const TopologyOp op = *GetInflight();
-  MC_RETURN_IF_ERROR(StreamPendingRanges());
-  Quiesce();
-  ReplayAllHints();
-  MC_RETURN_IF_ERROR(PersistMembership("rebalance flip"));
-  CommitTopology([&]() {
-    ring_ = *pending_ring_;
-    pending_ring_.reset();
-  });
+  MC_RETURN_IF_ERROR(StreamAndFlip("rebalance flip", -1, MembershipState::kServing));
   SetInflight(std::nullopt);
   OBS_COUNTER_INC("ring.rebalances");
   OBS_COUNTER_ADD("ring.tokens_moved", op.token_moves);
@@ -1308,36 +1373,6 @@ Status Cluster::CancelTopology() {
   OBS_COUNTER_INC("ring.cancels");
   return Status::Ok();
 }
-
-namespace {
-// True when `have` is missing a cell of `merged` or holds an older copy
-// (timestamp ties with different content also repair, so the deterministic
-// tie-break winner propagates).
-bool RowNeedsRepair(const Row& have, const Row& merged) {
-  for (const auto& [name, cell] : merged.cells) {
-    auto it = have.cells.find(name);
-    if (it == have.cells.end() || it->second.timestamp < cell.timestamp ||
-        (it->second.timestamp == cell.timestamp && !(it->second == cell))) {
-      return true;
-    }
-  }
-  return false;
-}
-
-// Content hash of a raw row: two rows hash equal iff their at-rest encodings
-// (cells, values, timestamps, tombstone flags) match.
-uint64_t RowContentHash(const Row& row) {
-  std::string buf;
-  EncodeRow(row, &buf);
-  return Fnv1a64(buf);
-}
-
-// Order-sensitive hash fold for Merkle leaves and interior nodes.
-uint64_t HashCombine(uint64_t h, uint64_t v) {
-  h ^= v + 0x9e3779b97f4a7c15ULL + (h << 6) + (h >> 2);
-  return h;
-}
-}  // namespace
 
 size_t Cluster::RepairContacted(std::string_view table, const ReplicaSet& rs,
                                 const std::vector<size_t>& contacted, std::string_view partition,
@@ -1435,55 +1470,6 @@ Status Cluster::RestartNode(int node) {
   return first;
 }
 
-bool Cluster::NodeReplicates(int node, std::string_view partition) const {
-  std::shared_lock<std::shared_mutex> lock(ring_mu_);
-  const std::vector<int> ids = ring_.Replicas(partition, options_.replication_factor);
-  if (std::find(ids.begin(), ids.end(), node) != ids.end()) {
-    return true;
-  }
-  // A node gaining the partition under an open topology window counts too:
-  // scrub's rebuild must not discard ranges mid-stream to a joining node.
-  if (pending_ring_.has_value()) {
-    const std::vector<int> next = pending_ring_->Replicas(partition, options_.replication_factor);
-    return std::find(next.begin(), next.end(), node) != next.end();
-  }
-  return false;
-}
-
-size_t Cluster::RebuildRangeFromPeers(int node, const std::string& table, StorageEngine* engine,
-                                      const QuarantinedRange& range) {
-  std::map<std::string, Row> merged;
-  for (Node* peer : SnapshotNodes()) {
-    if (peer->id() == node || IsNodeDown(peer->id())) {
-      continue;
-    }
-    StorageEngine* source = peer->FindEngine(table);
-    if (source == nullptr) {
-      continue;
-    }
-    // A corrupt block on a source fails that peer's scan before it emits
-    // anything; the remaining peers fill in. Rows stream raw (timestamps and
-    // tombstones intact) so the LWW re-apply below is idempotent.
-    (void)source->ScanEncodedForRepair(
-        range.smallest, range.largest, [&](std::string_view key, const Row& row) {
-          auto decoded = DecodeRowKey(key);
-          if (!decoded.ok() || !NodeReplicates(node, decoded->partition)) {
-            // The peer's key range overlaps partitions this node never
-            // replicates; streaming those would grow the node unboundedly.
-            return;
-          }
-          merged[std::string(key)].MergeNewer(row);
-        });
-  }
-  size_t rows = 0;
-  for (const auto& [key, row] : merged) {
-    if (engine->ApplyEncoded(key, row).ok()) {
-      ++rows;
-    }
-  }
-  return rows;
-}
-
 Result<size_t> Cluster::ScrubNode(int node) {
   Node* target = NodeAt(node);
   if (target == nullptr) {
@@ -1494,24 +1480,38 @@ Result<size_t> Cluster::ScrubNode(int node) {
   }
   Quiesce();  // scrub rebuilds from peer scans; settle in-flight writes
   OBS_SPAN("cluster.scrub_node");
+  // The node receives the partitions it owns or is gaining. It is no source
+  // for its own rebuild: its quarantined tables still yield the rows of
+  // their intact blocks, and those go with the tables.
+  const auto onto_node = [node](const std::vector<int>& owners, const std::vector<int>& pending) {
+    return Contains(owners, node) || Contains(pending, node) ? std::vector<int>{node}
+                                                             : std::vector<int>{};
+  };
   size_t blocks_rebuilt = 0;
   Status first = Status::Ok();
   for (const auto& [table, engine] : target->Engines()) {
     std::vector<QuarantinedRange> ranges;
-    const Status s = engine->Scrub(&ranges);
+    Status s = engine->Scrub(&ranges);
+    // Rebuild each quarantined range from the other owners BEFORE dropping
+    // the corrupt tables: the replica keeps answering for every row it
+    // acked. A failed rebuild leaves them quarantined for the next scrub.
+    for (size_t i = 0; s.ok() && i < ranges.size(); ++i) {
+      auto copied = CopyRows(table, onto_node, node, &ranges[i]);
+      if (!copied.ok()) {
+        s = copied.status();
+        break;
+      }
+      for (const auto& [id, rows] : *copied) {
+        OBS_COUNTER_ADD("scrub.rows_restreamed", rows);
+      }
+      OBS_COUNTER_ADD("scrub.blocks_rebuilt", ranges[i].blocks);
+      blocks_rebuilt += ranges[i].blocks;
+    }
     if (!s.ok()) {
       if (first.ok()) {
         first = s;
       }
       continue;
-    }
-    // Rebuild each quarantined range from healthy peers BEFORE dropping the
-    // corrupt tables: the replica keeps answering for every row it acked.
-    for (const QuarantinedRange& range : ranges) {
-      const size_t rows = RebuildRangeFromPeers(node, table, engine, range);
-      OBS_COUNTER_ADD("scrub.rows_restreamed", rows);
-      OBS_COUNTER_ADD("scrub.blocks_rebuilt", range.blocks);
-      blocks_rebuilt += range.blocks;
     }
     engine->DropQuarantined();
   }
@@ -1519,157 +1519,22 @@ Result<size_t> Cluster::ScrubNode(int node) {
   return blocks_rebuilt;
 }
 
-Status Cluster::AntiEntropyRepair(std::string_view table_name) {
+Status Cluster::AntiEntropyRepair(std::string_view table) {
   Quiesce();  // compare settled replica state, not mid-flight legs
   OBS_SPAN("cluster.anti_entropy");
-  const std::string table(table_name);
-  bool server_compression = false;
-  {
-    std::lock_guard<std::mutex> lock(tables_mu_);
-    auto it = tables_.find(table);
-    if (it == tables_.end()) {
-      return Status::InvalidArgument("no such table: " + table);
-    }
-    server_compression = it->second;
-  }
-
-  // Snapshot every up replica's raw rows (timestamps, tombstones, and
-  // partition-tombstone markers included — anti-entropy must converge
-  // deletes too, or a missed tombstone resurrects data).
-  // Snapshot the node set and ring once: anti-entropy runs under a settled
-  // topology (topology ops Quiesce around flips), and a consistent snapshot
-  // keeps the replica sets stable across the whole pass.
-  const std::vector<Node*> all_nodes = SnapshotNodes();
-  const HashRing ring = RingSnapshot();
-  const std::string hi(96, '\xff');
-  std::map<int, std::map<std::string, Row>> rows_by_node;
-  for (Node* node : all_nodes) {
-    if (IsNodeDown(node->id())) {
-      continue;
-    }
-    StorageEngine* engine = node->FindEngine(table);
-    if (engine == nullptr) {
-      continue;  // replica never saw a write; treated as empty below
-    }
-    auto& rows = rows_by_node[node->id()];
-    (void)engine->ScanEncodedForRepair("", hi, [&](std::string_view key, const Row& row) {
-      rows[std::string(key)] = row;
-    });
-  }
-
-  // The partition universe is the union across replicas: a partition one
-  // replica lost entirely still shows up via the others.
-  std::set<std::string> partitions;
-  for (const auto& [id, rows] : rows_by_node) {
-    (void)id;
-    for (const auto& [key, row] : rows) {
-      (void)row;
-      auto decoded = DecodeRowKey(key);
-      if (decoded.ok()) {
-        partitions.insert(std::string(decoded->partition));
-      }
-    }
-  }
-
-  constexpr size_t kLeaves = 16;  // 4-level hash tree per partition
-  struct Replica {
-    int id = 0;
-    StorageEngine* engine = nullptr;
-    std::array<std::vector<const std::pair<const std::string, Row>*>, kLeaves> buckets;
-    std::array<uint64_t, kLeaves> leaf{};
-    uint64_t root = 0;
-  };
-  for (const std::string& partition : partitions) {
-    OBS_COUNTER_INC("repair.partitions_checked");
-    std::vector<Replica> replicas;
-    for (int id : ring.Replicas(partition, options_.replication_factor)) {
-      if (IsNodeDown(id)) {
-        continue;
-      }
-      Replica r;
-      r.id = id;
-      // EngineFor (not FindEngine): a replica that never saw a write still
-      // participates — everything it is missing streams to it below.
-      r.engine = all_nodes[static_cast<size_t>(id)]->EngineFor(table, server_compression);
-      replicas.push_back(std::move(r));
-    }
-    if (replicas.size() < 2) {
-      continue;  // nothing to compare against
-    }
-
-    // Build each replica's tree: rows bucket by key hash into the leaves,
-    // leaf hashes fold (key, row content) in key order, interior nodes fold
-    // pairwise up to the root.
-    const std::string prefix = PartitionPrefix(partition);
-    for (Replica& r : replicas) {
-      auto rows_it = rows_by_node.find(r.id);
-      if (rows_it != rows_by_node.end()) {
-        for (auto it = rows_it->second.lower_bound(prefix);
-             it != rows_it->second.end() && it->first.compare(0, prefix.size(), prefix) == 0;
-             ++it) {
-          r.buckets[Fnv1a64(it->first) % kLeaves].push_back(&*it);
-        }
-      }
-      for (size_t leaf = 0; leaf < kLeaves; ++leaf) {
-        uint64_t h = 0;
-        for (const auto* entry : r.buckets[leaf]) {
-          h = HashCombine(h, Fnv1a64(entry->first));
-          h = HashCombine(h, RowContentHash(entry->second));
-        }
-        r.leaf[leaf] = h;
-      }
-      std::array<uint64_t, kLeaves> level = r.leaf;
-      for (size_t width = kLeaves; width > 1; width /= 2) {
-        for (size_t j = 0; j < width / 2; ++j) {
-          level[j] = HashCombine(level[2 * j], level[2 * j + 1]);
-        }
-      }
-      r.root = level[0];
-    }
-
-    // Converged replicas exchange one root hash and nothing else.
-    OBS_COUNTER_INC("repair.ranges_compared");
-    bool all_equal = true;
-    for (size_t i = 1; i < replicas.size(); ++i) {
-      all_equal = all_equal && replicas[i].root == replicas[0].root;
-    }
-    if (all_equal) {
-      continue;
-    }
-
-    // Descend: only leaves whose hashes differ across some replica pair
-    // stream rows.
-    for (size_t leaf = 0; leaf < kLeaves; ++leaf) {
-      OBS_COUNTER_INC("repair.ranges_compared");
-      bool differs = false;
-      for (size_t i = 1; i < replicas.size(); ++i) {
-        differs = differs || replicas[i].leaf[leaf] != replicas[0].leaf[leaf];
-      }
-      if (!differs) {
-        continue;
-      }
-      OBS_COUNTER_INC("repair.ranges_diverged");
-      std::map<std::string, Row> merged;
-      for (const Replica& r : replicas) {
-        for (const auto* entry : r.buckets[leaf]) {
-          merged[entry->first].MergeNewer(entry->second);
-        }
-      }
-      for (const Replica& r : replicas) {
-        const auto rows_it = rows_by_node.find(r.id);
-        for (const auto& [key, row] : merged) {
-          if (rows_it != rows_by_node.end()) {
-            auto have = rows_it->second.find(key);
-            if (have != rows_it->second.end() && !RowNeedsRepair(have->second, row)) {
-              continue;
-            }
-          }
-          if (r.engine->ApplyEncoded(key, row).ok()) {
-            OBS_COUNTER_INC("repair.rows_streamed");
+  MC_ASSIGN_OR_RETURN(
+      const auto copied,
+      CopyRows(std::string(table), [this](const std::vector<int>& owners, const std::vector<int>&) {
+        std::vector<int> up;
+        for (int id : owners) {
+          if (!IsNodeDown(id)) {
+            up.push_back(id);
           }
         }
-      }
-    }
+        return up;
+      }));
+  for (const auto& [id, rows] : copied) {
+    OBS_COUNTER_ADD("repair.rows_streamed", rows);
   }
   return Status::Ok();
 }
@@ -1806,11 +1671,9 @@ Result<std::pair<std::string, Row>> Cluster::ReadFloorInternal(std::string_view 
   return std::make_pair(std::move(floor_id), std::move(merged));
 }
 
-Result<std::vector<std::pair<std::string, Row>>> Cluster::ReadRange(std::string_view table,
-                                                                    std::string_view partition,
-                                                                    std::string_view lo,
-                                                                    std::string_view hi,
-                                                                    size_t limit) {
+Result<std::vector<std::pair<std::string, Row>>> Cluster::ReadRange(
+    std::string_view table, std::string_view partition, std::string_view lo,
+    std::string_view hi, size_t limit, std::optional<Consistency> consistency) {
   OBS_SPAN("cluster.read_range");
   stats_.reads.fetch_add(1, std::memory_order_relaxed);
   MC_ASSIGN_OR_RETURN(const ReplicaSet rs, ResolveReplicas(table, partition));
@@ -1820,12 +1683,13 @@ Result<std::vector<std::pair<std::string, Row>>> Cluster::ReadRange(std::string_
   // read-repairs the contacted replicas so everything returned is durable on
   // a quorum (same rationale as Read/ReadFloor). CL=ONE returns one
   // replica's scan as is.
-  const bool quorum = options_.consistency == Consistency::kQuorum;
+  const Consistency level = consistency.value_or(options_.consistency);
+  const bool quorum = level == Consistency::kQuorum;
   std::vector<std::pair<std::string, Row>> out;
   std::map<std::string, Row> merged;
   std::vector<size_t> contacted;
   MC_RETURN_IF_ERROR(ReadReplicas(
-      table, rs, options_.consistency,
+      table, rs, level,
       [&](StorageEngine* engine) {
         if (quorum) {
           // A scan that fails midway gives no answer, but the rows it merged

@@ -187,11 +187,11 @@ class Cluster {
                                                             std::string_view column);
 
   // Ascending scan of lo <= clustering <= hi. limit 0 = unbounded.
-  Result<std::vector<std::pair<std::string, Row>>> ReadRange(std::string_view table,
-                                                             std::string_view partition,
-                                                             std::string_view lo,
-                                                             std::string_view hi,
-                                                             size_t limit = 0);
+  // `consistency` overrides the cluster's read level for this one call.
+  Result<std::vector<std::pair<std::string, Row>>> ReadRange(
+      std::string_view table, std::string_view partition, std::string_view lo,
+      std::string_view hi, size_t limit = 0,
+      std::optional<Consistency> consistency = std::nullopt);
 
   // Deletes a whole partition: a DeleteRow of the kPartitionTombstoneColumn
   // marker on the empty clustering key (row.h; models Cassandra's partition
@@ -255,7 +255,7 @@ class Cluster {
   // write is orphaned by the ownership flip.
 
   // Adds a node online: plants its vnode tokens in a pending ring, streams
-  // the ranges it will own from existing replicas (ScanEncodedForRepair),
+  // the ranges it will own from their current owners (ScanEncodedForRepair),
   // drains hints, then atomically flips it to serving. Returns the new node
   // id. On error the transition parks at its last persisted state; call
   // ResumeTopology to continue or CancelTopology to roll back.
@@ -329,16 +329,16 @@ class Cluster {
   Status RestartNode(int node);
 
   // Scrubs every table replica on the node: verifies all SSTable checksums,
-  // re-streams the key ranges of corrupt tables from healthy peer replicas
-  // (ring-filtered, LWW-idempotent), then drops the corrupt tables from the
-  // read set. Rebuild happens *before* the drop, so the replica never stops
-  // answering for rows it acked. Returns the number of blocks rebuilt.
+  // re-streams the key ranges of corrupt tables from the other owners of
+  // each partition the node replicates (LWW-idempotent), then drops the
+  // corrupt tables from the read set. Rebuild happens *before* the drop, so
+  // the replica never stops answering for rows it acked. Returns the number
+  // of blocks rebuilt.
   Result<size_t> ScrubNode(int node);
 
-  // Merkle-style anti-entropy for one table: per partition, each up replica
-  // builds a bucket hash tree over its raw rows (timestamps and tombstones
-  // included); replicas whose roots agree exchange nothing, and only the
-  // rows of differing leaf ranges are streamed and LWW-merged. This is the
+  // Anti-entropy for one table: merges each partition's raw rows
+  // (timestamps and tombstones included) across its up replicas and writes
+  // each replica the rows it lacks or holds an older copy of. This is the
   // background convergence pass Cassandra runs as `nodetool repair`.
   Status AntiEntropyRepair(std::string_view table);
 
@@ -425,11 +425,35 @@ class Cluster {
   // retry instead of landing on stale owners.
   void CommitTopology(const std::function<void()>& fn);
 
-  // Streams every (partition, row) a node gains under pending_ring_ from the
-  // serving/leaving replicas that hold it (raw rows; LWW-idempotent).
-  // Unavailable on an injected kStreamInterrupt or a down target — the
-  // caller's stage is unchanged and the stream re-runs on resume.
-  Status StreamPendingRanges();
+  // The stage drivers' shared tail: streams every table to the nodes that
+  // gain partitions under pending_ring_ (CopyRows), waits out in-flight legs,
+  // drains hints, persists `flip_context`, and swaps pending_ring_ in as the
+  // ring, setting `node`'s membership to `flipped` (node -1: none changes).
+  // Unavailable on an injected kStreamInterrupt or a down target, with the
+  // caller's stage unchanged: the stream re-runs from scratch on resume.
+  Status StreamAndFlip(const std::string& flip_context, int node, MembershipState flipped);
+
+  // A partition's copy targets, given its natural replicas (`owners`, ring
+  // order) and its replicas under the pending ring (empty when no window is
+  // open).
+  using CopyTargets = std::function<std::vector<int>(const std::vector<int>& owners,
+                                                     const std::vector<int>& pending)>;
+
+  // The one path that copies rows between replicas: topology streaming,
+  // scrub rebuild and anti-entropy. Scans each up member of the natural ring
+  // but `skip_source` once (ascending id) over `table`'s encoded keys in
+  // `range` (whole table when null) with ScanEncodedForRepair, and merges a
+  // row's copies from its partition's natural replicas only: a node that
+  // lost the partition in a topology change still holds its old rows, and
+  // copying those would resurrect what the owners deleted. Applies the
+  // merged row to each of the partition's `targets`, in target-id then key
+  // order, except where a scanned target already holds it (RowNeedsRepair);
+  // a target that was not scanned receives every merged row. Returns rows
+  // applied per target; Unavailable when a target with rows to receive is
+  // down.
+  Result<std::map<int, size_t>> CopyRows(const std::string& table, const CopyTargets& targets,
+                                         int skip_source = -1,
+                                         const QuarantinedRange* range = nullptr);
 
   // Stage drivers, resumable from the persisted op stage.
   Status RunBootstrap();
@@ -466,15 +490,6 @@ class Cluster {
   Status ReadReplicas(std::string_view table, const ReplicaSet& rs, Consistency consistency,
                       const std::function<Status(StorageEngine*)>& op,
                       std::vector<size_t>* contacted);
-
-  // True when `node` is in the partition's replica set.
-  bool NodeReplicates(int node, std::string_view partition) const;
-
-  // Streams the merged rows of [range.smallest, range.largest] (encoded
-  // keys) from every other up replica into `engine` on `node`, keeping only
-  // partitions that node actually replicates. Returns rows applied.
-  size_t RebuildRangeFromPeers(int node, const std::string& table, StorageEngine* engine,
-                               const QuarantinedRange& range);
 
   // Applies `update` to every live replica engine; queues hints for down or
   // failing ones. Unavailable (with hints already queued — the classic

@@ -169,6 +169,25 @@ TEST_F(AppendModeTest, DuplicateMergersAreHarmless) {
   }
 }
 
+TEST_F(AppendModeTest, EmSpreadsMergeableEpochsAcrossLiveClients) {
+  AppendClient c2(&cluster_, options_, key_, "c2", &clock_);
+  AppendClient c3(&cluster_, options_, key_, "c3", &clock_);
+  ASSERT_TRUE(c2.Register().ok());
+  ASSERT_TRUE(c3.Register().ok());
+  // From g = 3 on, each tick finds one newly mergeable epoch (e + 2 <= g).
+  for (int i = 0; i < 6; ++i) {
+    NextEpoch();
+  }
+  ASSERT_EQ(*em_->ReadGlobalEpoch(), 7u);  // epochs 1..5 are assigned
+  uint64_t merged = 0;
+  for (AppendClient* c : {client_.get(), &c2, &c3}) {
+    ASSERT_TRUE(c->MergeOnce().ok());
+    EXPECT_GE(c->stats().epochs_merged.load(), 1u) << c->id() << " was assigned no epoch";
+    merged += c->stats().epochs_merged.load();
+  }
+  EXPECT_EQ(merged, 5u);
+}
+
 TEST_F(AppendModeTest, OutOfOrderArrivalsWithinLagAreMergedCorrectly) {
   // Keys arrive slightly out of order across the epoch boundary (within
   // T_delta): a key smaller than epoch 2's min lands in epoch 2.
@@ -396,11 +415,79 @@ TEST(AppendReadAfterMerge, GetFindsAKeyWhoseMergedPackMissesAReplica) {
   for (int i = 0; i < 6; ++i) {
     auto v = c2.Get(16);
     EXPECT_EQ(v.ok() ? *v : v.status().ToString(), "v16") << "get " << i;
+    // A range starting at a pack ID skips the boundary floor read, so only
+    // the epoch-0 range read can find 16.
+    auto range = c2.GetRange(8, 16);
+    ASSERT_TRUE(range.ok()) << range.status().ToString();
+    EXPECT_EQ(range->size(), 9u) << "range " << i;
+    EXPECT_EQ(range->back(), std::make_pair(uint64_t{16}, std::string("v16"))) << "range " << i;
   }
   cluster.Quiesce();
   auto v = c2.Get(16);
   ASSERT_TRUE(v.ok()) << v.status().ToString();
   EXPECT_EQ(*v, "v16");
+}
+
+// Two clients that both see an epoch MERGED both try to drop it; the status
+// flip is an LWT, so one of them owns the drop and counts it. The third leg
+// of the first client's flip is held back, so one of the second client's
+// next three CL=ONE stats reads, which round robin starts at each replica in
+// turn, still sees MERGED.
+TEST(AppendDeleteMerged, OneClientOwnsEachEpochDrop) {
+  FaultInjector faults(/*seed=*/12);
+  faults.set_latency_spike_base_micros(250'000);  // a delayed leg lands 0.25-1 s late
+  ClusterOptions co = ClusterOptions::ForTest();
+  co.node_count = 3;
+  co.replication_factor = 3;
+  co.replica_fanout_threads = 4;
+  co.fault_injector = &faults;
+  Cluster cluster(co);  // real clock: the delayed leg really is pending
+  SimulatedClock clock(1'000'000'000);
+  MiniCryptOptions options;
+  options.table = "ts_data";
+  options.pack_rows = 4;
+  options.epoch_micros = 2'000'000;
+  options.t_delta_micros = 500'000;
+  options.t_drift_micros = 200'000;
+  options.client_timeout_micros = 100'000'000;
+  ASSERT_TRUE(options.Validate().ok());
+  const SymmetricKey key = SymmetricKey::FromSeed("tenant");
+  EmService em(&cluster, options, "em1", &clock);
+  ASSERT_TRUE(em.Bootstrap().ok());
+  ASSERT_TRUE(em.Tick().ok());
+  AppendClient c1(&cluster, options, key, "c1", &clock);
+  AppendClient c2(&cluster, options, key, "c2", &clock);
+  ASSERT_TRUE(c1.Register().ok());
+  ASSERT_TRUE(c2.Register().ok());
+  for (uint64_t first : {0, 8, 16}) {
+    for (uint64_t k = first; k < first + 8; ++k) {
+      ASSERT_TRUE(c1.Put(k, "v" + std::to_string(k)).ok()) << k;
+    }
+    cluster.Quiesce();
+    clock.Advance(options.epoch_micros + 1000);
+    ASSERT_TRUE(em.Tick().ok());
+    cluster.Quiesce();
+    ASSERT_TRUE(c1.HeartbeatOnce().ok());
+    ASSERT_TRUE(c2.HeartbeatOnce().ok());
+  }
+  // g = 4: epochs 1 and 2 merge, one to each client; epoch 1 can then go.
+  ASSERT_TRUE(c1.MergeOnce().ok());
+  ASSERT_TRUE(c2.MergeOnce().ok());
+  ASSERT_EQ(c1.stats().epochs_merged.load() + c2.stats().epochs_merged.load(), 2u);
+  cluster.Quiesce();
+
+  faults.Script(FaultPoint::kReplicaDelay, 3, options.table + ".meta");
+  ASSERT_TRUE(c1.DeleteMergedOnce().ok());
+  for (int i = 0; i < 3; ++i) {
+    ASSERT_TRUE(c2.DeleteMergedOnce().ok());
+  }
+  cluster.Quiesce();
+  ASSERT_EQ(faults.trips(FaultPoint::kReplicaDelay), 1u);
+  EXPECT_EQ(c1.stats().epochs_deleted.load() + c2.stats().epochs_deleted.load(), 1u);
+  EXPECT_EQ(c1.stats().keys_deleted.load() + c2.stats().keys_deleted.load(), 8u);
+  auto rows = cluster.ReadRange(options.table, EpochPartition(1), "", std::string(16, '\xff'));
+  ASSERT_TRUE(rows.ok()) << rows.status().ToString();
+  EXPECT_TRUE(rows->empty());
 }
 
 }  // namespace

@@ -6,6 +6,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <map>
 #include <string>
@@ -416,6 +417,116 @@ TEST(Topology, DualApplyLosesNoAckedWriteAcrossBootstrapFlip) {
     const int stored_seq = std::stoi(stored.substr(1));
     const int acked_seq = std::stoi(value.substr(1));
     EXPECT_GE(stored_seq, acked_seq) << partition;
+  }
+}
+
+// --- Copies come only from a partition's owners ------------------------------
+//
+// A node that loses a partition in a bootstrap keeps its rows: nothing cleans
+// up after the flip. Once the owners compact a delete's tombstone away, that
+// node holds the only trace of the deleted row, a live copy, and a stream or
+// a scrub rebuild that took copies from it would bring the row back.
+
+constexpr int kCopyRulePartitions = 60;
+
+ClusterOptions CompactingQuorumNodes(FaultInjector* fi) {
+  ClusterOptions o = Nodes(3, 3, Consistency::kQuorum);
+  o.engine.compaction_trigger = 2;
+  o.fault_injector = fi;
+  return o;
+}
+
+void PadAndFlush(Cluster* cluster, int round) {
+  for (int i = 0; i < kCopyRulePartitions; ++i) {
+    ASSERT_TRUE(cluster->Write("t", Part(i), EncodeKey64(static_cast<uint64_t>(round)),
+                               ValueRow("pad"))
+                    .ok());
+  }
+  ASSERT_TRUE(cluster->FlushAll().ok());
+}
+
+// Preloads key 0, bootstraps node 3 and deletes key 0 in every partition
+// node 3 gained; the owners then compact the tombstone away. Returns those
+// partitions.
+std::vector<int> DeleteWhereNodeThreeGainedAndCompact(Cluster* cluster) {
+  Preload(cluster, kCopyRulePartitions);
+  EXPECT_TRUE(cluster->BootstrapNode().ok());
+  std::vector<int> deleted;
+  for (int i = 0; i < kCopyRulePartitions; ++i) {
+    const std::vector<int> owners = cluster->ReplicaNodesFor(Part(i));
+    if (std::find(owners.begin(), owners.end(), 3) != owners.end()) {
+      EXPECT_TRUE(cluster->DeleteRow("t", Part(i), EncodeKey64(0), {"v"}).ok());
+      deleted.push_back(i);
+    }
+  }
+  // Every engine flushes twice; the second flush makes two tables, whose
+  // full compaction drops the tombstones.
+  PadAndFlush(cluster, 1);
+  PadAndFlush(cluster, 2);
+  return deleted;
+}
+
+bool HoldsKeyZero(Cluster* cluster, int node, int partition) {
+  auto rows = cluster->DebugPartitionRows(node, "t", Part(partition));
+  EXPECT_TRUE(rows.ok()) << rows.status().ToString();
+  return rows.ok() && !rows->empty() && rows->front().first == EncodeKey64(0);
+}
+
+TEST(Topology, BootstrapStreamsOnlyFromOwnersSoACompactedDeleteStaysDeleted) {
+  Cluster cluster(CompactingQuorumNodes(nullptr));
+  const std::vector<int> deleted = DeleteWhereNodeThreeGainedAndCompact(&cluster);
+  ASSERT_FALSE(deleted.empty());
+  ASSERT_TRUE(cluster.BootstrapNode().ok());
+
+  int checked = 0;
+  for (int i : deleted) {
+    const std::vector<int> owners = cluster.ReplicaNodesFor(Part(i));
+    if (std::find(owners.begin(), owners.end(), 4) == owners.end()) {
+      continue;
+    }
+    ++checked;
+    EXPECT_FALSE(HoldsKeyZero(&cluster, 4, i)) << "node 4 resurrected key 0 in " << Part(i);
+    EXPECT_TRUE(cluster.Read("t", Part(i), EncodeKey64(0)).status().IsNotFound()) << Part(i);
+  }
+  EXPECT_GT(checked, 0);
+}
+
+TEST(Topology, ScrubRebuildsOnlyFromOwnersSoACompactedDeleteStaysDeleted) {
+  FaultInjector fi(0x5C2B);
+  Cluster cluster(CompactingQuorumNodes(&fi));
+  const std::vector<int> deleted = DeleteWhereNodeThreeGainedAndCompact(&cluster);
+  ASSERT_FALSE(deleted.empty());
+  // One corrupt block in the last flush. Its table fails the compaction that
+  // flush triggers, so scrub quarantines it and rebuilds its key range.
+  fi.Script(FaultPoint::kMediaCorruption, 1);
+  PadAndFlush(&cluster, 3);
+  ASSERT_EQ(fi.trips(FaultPoint::kMediaCorruption), 1u);
+  size_t rebuilt = 0;
+  for (int node = 0; node < 4; ++node) {
+    auto blocks = cluster.ScrubNode(node);
+    ASSERT_TRUE(blocks.ok()) << blocks.status().ToString();
+    rebuilt += *blocks;
+  }
+  ASSERT_GE(rebuilt, 1u);
+
+  int resurrected = 0;
+  int copies = 0;
+  for (int i : deleted) {
+    for (int node : cluster.ReplicaNodesFor(Part(i))) {
+      ++copies;
+      resurrected += HoldsKeyZero(&cluster, node, i) ? 1 : 0;
+    }
+  }
+  EXPECT_EQ(resurrected, 0) << "of " << copies << " owner copies";
+  // The dropped table's rows came back from the other owners: every owner
+  // copy still holds the last pad.
+  for (int i = 0; i < kCopyRulePartitions; ++i) {
+    for (int node : cluster.ReplicaNodesFor(Part(i))) {
+      auto rows = cluster.DebugPartitionRows(node, "t", Part(i));
+      ASSERT_TRUE(rows.ok()) << rows.status().ToString();
+      ASSERT_FALSE(rows->empty());
+      EXPECT_EQ(rows->back().first, EncodeKey64(3)) << "node " << node << " " << Part(i);
+    }
   }
 }
 
